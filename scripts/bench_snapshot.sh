@@ -3,9 +3,11 @@
 # BENCH_ci.json trajectory.
 #
 # Runs bench_parallel_scaling and bench_checkpoint_restore with their
-# JSON twins directed at WORKDIR, then appends a snapshot object —
-# commit, timestamp, and both bench documents — to OUT (a JSON array,
-# created on first use).  CI runs this fresh every build and uploads
+# JSON twins directed at WORKDIR, and the bench_sim_throughput
+# microbenchmarks (OooCore cycles/s per core model, FaultableArray
+# access, checkpoint copy) with google-benchmark's JSON output there
+# too, then appends a snapshot object — commit, timestamp, and the
+# three bench documents — to OUT (a JSON array, created on first use).  CI runs this fresh every build and uploads
 # the result as an artifact; run it locally across commits and OUT
 # accumulates an actual perf trajectory.
 #
@@ -35,7 +37,8 @@ WORKDIR="${1:-$(mktemp -d)}"
 OUT="${2:-$WORKDIR/BENCH_ci.json}"
 BENCH_DIR="${DFI_BENCH_DIR:-build/bench}"
 
-for bench in bench_parallel_scaling bench_checkpoint_restore; do
+for bench in bench_parallel_scaling bench_checkpoint_restore \
+    bench_sim_throughput; do
     if [[ ! -x "$BENCH_DIR/$bench" ]]; then
         echo "error: $BENCH_DIR/$bench not found or not executable." >&2
         echo "build first: cmake -B build -S . && cmake --build build -j" >&2
@@ -52,6 +55,13 @@ for bench in bench_parallel_scaling bench_checkpoint_restore; do
     DFI_TELEMETRY_DIR="$WORKDIR" DFI_OUT="$WORKDIR/$bench.table.txt" \
         "$BENCH_DIR/$bench" > "$WORKDIR/$bench.txt"
 done
+
+# A unitless --benchmark_min_time (seconds) is what google-benchmark
+# 1.7 accepts; later versions still read it as seconds.
+echo "== bench_sim_throughput" >&2
+"$BENCH_DIR/bench_sim_throughput" --benchmark_min_time=0.2 \
+    --benchmark_out="$WORKDIR/bench_sim_throughput.json" \
+    --benchmark_out_format=json > "$WORKDIR/bench_sim_throughput.txt"
 
 COMMIT="$(git rev-parse HEAD 2> /dev/null || echo unknown)"
 STAMP="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
@@ -73,7 +83,8 @@ snapshot = {
     "date": os.environ["BENCH_SNAPSHOT_STAMP"],
     "benches": {},
 }
-for bench in ("bench_parallel_scaling", "bench_checkpoint_restore"):
+for bench in ("bench_parallel_scaling", "bench_checkpoint_restore",
+              "bench_sim_throughput"):
     with open(os.path.join(workdir, bench + ".json")) as twin:
         snapshot["benches"][bench] = json.load(twin)
 

@@ -26,6 +26,7 @@
 #ifndef DFI_COMMON_SERIAL_HH
 #define DFI_COMMON_SERIAL_HH
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -236,6 +237,10 @@ value(Ar &ar, std::vector<T> &v)
         v.assign(static_cast<std::size_t>(n), T{});
     }
     if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+        // An empty vector's data() may be null, and memcpy must not
+        // see a null pointer even for zero bytes.
+        if (v.empty())
+            return;
         if constexpr (Ar::kSaving) {
             ar.bytes(v.data(), v.size() * sizeof(T));
         } else if (n * sizeof(T) > ar.remaining()) {
@@ -252,6 +257,26 @@ value(Ar &ar, std::vector<T> &v)
             value(ar, elem);
         }
     }
+}
+
+/**
+ * Fixed-size arithmetic array.  The length is in the stream so an
+ * archive written with a different N fails instead of misparsing.
+ */
+template <class Ar, class T, std::size_t N>
+void
+value(Ar &ar, std::array<T, N> &a)
+{
+    static_assert(std::is_arithmetic_v<T>);
+    std::uint64_t n = N;
+    ar.scalar(n);
+    if constexpr (!Ar::kSaving) {
+        if (n != N) {
+            ar.fail("array length mismatch");
+            return;
+        }
+    }
+    ar.bytes(a.data(), N * sizeof(T));
 }
 
 /** std::vector<bool> has no contiguous storage; one byte per element. */

@@ -2,26 +2,33 @@
  * @file
  * Lightweight runtime-statistics package.
  *
- * Each simulator instance owns a StatSet; microarchitectural components
- * register named counters into it.  The per-benchmark statistics the
- * paper uses to explain divergences between the tools (issued vs.
- * committed loads, cache hit/miss/replacement counts, branch
- * mispredictions, ...) are all plain counters in this set, dumped by
- * the `bench_runtime_stats` harness.
+ * The per-benchmark statistics the paper uses to explain divergences
+ * between the tools (issued vs. committed loads, cache
+ * hit/miss/replacement counts, branch mispredictions, ...) are plain
+ * event counters.  Each microarchitectural component owns its own as
+ * an enum-indexed Counters array, so counting an event on the
+ * simulator's hot path is one array increment.  A StatSet is the
+ * named view of those counters: the core builds it on demand
+ * (OooCore::stats(), and once more when a run finishes) and it is
+ * what run records, campaign aggregates and the `bench_runtime_stats`
+ * harness see.
  *
- * StatSet is value-semantic (copyable) so it participates in simulator
- * checkpointing for free.
+ * Both types are value-semantic (copyable), so they participate in
+ * simulator checkpointing for free.
  */
 
 #ifndef DFI_COMMON_STATS_HH
 #define DFI_COMMON_STATS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/serial.hh"
 
 namespace dfi
 {
@@ -77,6 +84,55 @@ class StatSet
 
   private:
     std::map<std::string, std::uint64_t> counters_;
+};
+
+/**
+ * Enum-indexed event counters owned by one simulator component.
+ *
+ * Counting is an array increment: no name is built and no map is
+ * walked.  Names exist only in the StatSet view that named() builds.
+ *
+ * @tparam Id enum class that indexes the counters; its last
+ *            enumerator must be `Count`
+ */
+template <class Id>
+class Counters
+{
+  public:
+    static constexpr std::size_t kSize =
+        static_cast<std::size_t>(Id::Count);
+
+    void inc(Id id) { ++values_[static_cast<std::size_t>(id)]; }
+
+    std::uint64_t
+    get(Id id) const
+    {
+        return values_[static_cast<std::size_t>(id)];
+    }
+
+    /** The nonzero counters, named `prefix + names[id]`. */
+    StatSet
+    named(const std::string &prefix,
+          const char *const (&names)[kSize]) const
+    {
+        StatSet out;
+        for (std::size_t i = 0; i < kSize; ++i) {
+            if (values_[i] != 0)
+                out.set(prefix + names[i], values_[i]);
+        }
+        return out;
+    }
+
+    /** Serialize the counter values (cache spill). */
+    template <class Ar>
+    void
+    serializeState(Ar &ar)
+    {
+        serial::value(ar, values_);
+    }
+
+  private:
+    std::array<std::uint64_t, kSize> values_{};
 };
 
 /**

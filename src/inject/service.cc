@@ -442,7 +442,7 @@ namespace
 {
 
 /** Version tags for the two disk-cache file formats. */
-constexpr const char *kPrepCacheTag = "dfi-prep-cache-v1";
+constexpr const char *kPrepCacheTag = "dfi-prep-cache-v2";
 constexpr const char *kResponseCacheKind = "dfi-response-cache-v1";
 
 /** True when the failpoint fires with an Error action. */

@@ -17,86 +17,12 @@ FaultableArray::FaultableArray(std::string name, std::size_t entries,
 }
 
 void
-FaultableArray::checkBounds(std::size_t entry, std::size_t bit,
+FaultableArray::outOfBounds(std::size_t entry, std::size_t bit,
                             std::size_t width) const
 {
-    if (entry >= entries_ || width > 64 || bit + width > bitsPerEntry_) {
-        panic("FaultableArray %s: access out of bounds "
-              "(entry %s, bit %s, width %s)",
-              name_, entry, bit, width);
-    }
-}
-
-void
-FaultableArray::noteRead(std::size_t entry, std::size_t bit,
-                         std::size_t width) const
-{
-    if (observer_)
-        observer_->onAccess(*this, entry, bit, width, false);
-    if (watchState_ != WatchState::Armed)
-        return;
-    if (entry == watchEntry_ && watchBit_ >= bit &&
-        watchBit_ < bit + width) {
-        watchState_ = WatchState::ReadFirst;
-    }
-}
-
-void
-FaultableArray::noteWrite(std::size_t entry, std::size_t bit,
-                          std::size_t width)
-{
-    if (observer_)
-        observer_->onAccess(*this, entry, bit, width, true);
-    if (watchState_ != WatchState::Armed)
-        return;
-    if (entry == watchEntry_ && watchBit_ >= bit &&
-        watchBit_ < bit + width) {
-        watchState_ = WatchState::WrittenFirst;
-    }
-}
-
-std::uint64_t
-FaultableArray::readBits(std::size_t entry, std::size_t bit,
-                         std::size_t width) const
-{
-    checkBounds(entry, bit, width);
-    noteRead(entry, bit, width);
-
-    const std::size_t base = entry * wordsPerEntry_;
-    const std::size_t word = bit / 64;
-    const std::size_t shift = bit % 64;
-
-    std::uint64_t value = words_.get(base + word) >> shift;
-    if (shift != 0 && shift + width > 64)
-        value |= words_.get(base + word + 1) << (64 - shift);
-    if (width < 64)
-        value &= (1ull << width) - 1;
-    return value;
-}
-
-void
-FaultableArray::writeBits(std::size_t entry, std::size_t bit,
-                          std::size_t width, std::uint64_t value)
-{
-    checkBounds(entry, bit, width);
-    noteWrite(entry, bit, width);
-
-    const std::size_t base = entry * wordsPerEntry_;
-    const std::size_t word = bit / 64;
-    const std::size_t shift = bit % 64;
-    const std::uint64_t mask =
-        width == 64 ? ~0ull : ((1ull << width) - 1);
-
-    std::uint64_t &low = words_.ref(base + word);
-    low &= ~(mask << shift);
-    low |= (value & mask) << shift;
-    if (shift != 0 && shift + width > 64) {
-        const std::size_t spill = shift + width - 64;
-        const std::uint64_t spill_mask = (1ull << spill) - 1;
-        std::uint64_t &high = words_.ref(base + word + 1);
-        high &= ~spill_mask;
-        high |= (value & mask) >> (64 - shift);
-    }
+    panic("FaultableArray %s: access out of bounds "
+          "(entry %s, bit %s, width %s)",
+          name_, entry, bit, width);
 }
 
 void
@@ -140,18 +66,6 @@ FaultableArray::writeBytes(std::size_t entry, std::size_t byte_offset,
         word &= ~(0xffull << (b % 64));
         word |= static_cast<std::uint64_t>(in[i]) << (b % 64);
     }
-}
-
-bool
-FaultableArray::readBit(std::size_t entry, std::size_t bit) const
-{
-    return readBits(entry, bit, 1) != 0;
-}
-
-void
-FaultableArray::writeBit(std::size_t entry, std::size_t bit, bool value)
-{
-    writeBits(entry, bit, 1, value ? 1 : 0);
 }
 
 void

@@ -127,12 +127,49 @@ class FaultableArray
      * Read up to 64 bits starting at bit offset `bit` of row `entry`.
      * Counts as an access for watch purposes.
      */
-    std::uint64_t readBits(std::size_t entry, std::size_t bit,
-                           std::size_t width) const;
+    std::uint64_t
+    readBits(std::size_t entry, std::size_t bit, std::size_t width) const
+    {
+        checkBounds(entry, bit, width);
+        noteRead(entry, bit, width);
+
+        const std::size_t base = entry * wordsPerEntry_;
+        const std::size_t word = bit / 64;
+        const std::size_t shift = bit % 64;
+
+        std::uint64_t value = words_.get(base + word) >> shift;
+        if (shift != 0 && shift + width > 64)
+            value |= words_.get(base + word + 1) << (64 - shift);
+        if (width < 64)
+            value &= (1ull << width) - 1;
+        return value;
+    }
 
     /** Write up to 64 bits; counts as an overwrite of covered bits. */
-    void writeBits(std::size_t entry, std::size_t bit, std::size_t width,
-                   std::uint64_t value);
+    void
+    writeBits(std::size_t entry, std::size_t bit, std::size_t width,
+              std::uint64_t value)
+    {
+        checkBounds(entry, bit, width);
+        noteWrite(entry, bit, width);
+
+        const std::size_t base = entry * wordsPerEntry_;
+        const std::size_t word = bit / 64;
+        const std::size_t shift = bit % 64;
+        const std::uint64_t mask =
+            width == 64 ? ~0ull : ((1ull << width) - 1);
+
+        std::uint64_t &low = words_.ref(base + word);
+        low &= ~(mask << shift);
+        low |= (value & mask) << shift;
+        if (shift != 0 && shift + width > 64) {
+            const std::size_t spill = shift + width - 64;
+            const std::uint64_t spill_mask = (1ull << spill) - 1;
+            std::uint64_t &high = words_.ref(base + word + 1);
+            high &= ~spill_mask;
+            high |= (value & mask) >> (64 - shift);
+        }
+    }
 
     /** Read a whole byte-aligned span of a row into `out`. */
     void readBytes(std::size_t entry, std::size_t byte_offset,
@@ -143,8 +180,17 @@ class FaultableArray
                     std::size_t count, const std::uint8_t *in);
 
     /** Single-bit accessors (watch-visible). */
-    bool readBit(std::size_t entry, std::size_t bit) const;
-    void writeBit(std::size_t entry, std::size_t bit, bool value);
+    bool
+    readBit(std::size_t entry, std::size_t bit) const
+    {
+        return readBits(entry, bit, 1) != 0;
+    }
+
+    void
+    writeBit(std::size_t entry, std::size_t bit, bool value)
+    {
+        writeBits(entry, bit, 1, value ? 1 : 0);
+    }
 
     /** Zero an entire row (counts as overwrite of all its bits). */
     void clearEntry(std::size_t entry);
@@ -192,11 +238,38 @@ class FaultableArray
     }
 
   private:
-    void checkBounds(std::size_t entry, std::size_t bit,
-                     std::size_t width) const;
-    void noteRead(std::size_t entry, std::size_t bit,
-                  std::size_t width) const;
-    void noteWrite(std::size_t entry, std::size_t bit, std::size_t width);
+    // The accessors above sit on the simulator's per-cycle path, so
+    // they and their checks are inline; only the panic is not.
+    void
+    checkBounds(std::size_t entry, std::size_t bit,
+                std::size_t width) const
+    {
+        if (entry >= entries_ || width > 64 || bit + width > bitsPerEntry_)
+            outOfBounds(entry, bit, width);
+    }
+
+    [[noreturn]] void outOfBounds(std::size_t entry, std::size_t bit,
+                                  std::size_t width) const;
+
+    void
+    noteRead(std::size_t entry, std::size_t bit, std::size_t width) const
+    {
+        if (observer_)
+            observer_->onAccess(*this, entry, bit, width, false);
+        if (watchState_ == WatchState::Armed && entry == watchEntry_ &&
+            watchBit_ >= bit && watchBit_ < bit + width)
+            watchState_ = WatchState::ReadFirst;
+    }
+
+    void
+    noteWrite(std::size_t entry, std::size_t bit, std::size_t width)
+    {
+        if (observer_)
+            observer_->onAccess(*this, entry, bit, width, true);
+        if (watchState_ == WatchState::Armed && entry == watchEntry_ &&
+            watchBit_ >= bit && watchBit_ < bit + width)
+            watchState_ = WatchState::WrittenFirst;
+    }
 
     /** 4 KiB copy-on-write pages of backing words. */
     using WordBuffer = CowBuffer<std::uint64_t, 512>;

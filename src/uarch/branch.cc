@@ -12,6 +12,12 @@ constexpr std::uint32_t kGlobalEntries = 4096;
 constexpr std::uint32_t kGhrBits = 12;
 constexpr std::uint32_t kBtbTagBits = 16;
 
+/** StatSet names of the BtbStat counters, in enum order. */
+const char *const kBtbStatNames[] = {
+    "lookups",
+    "hits",
+};
+
 void
 bump(std::uint8_t &counter, bool up)
 {
@@ -108,11 +114,11 @@ Btb::tagOf(std::uint32_t pc) const
 }
 
 std::uint32_t
-Btb::lookup(std::uint32_t pc, dfi::StatSet &stats)
+Btb::lookup(std::uint32_t pc)
 {
     const std::uint32_t set = setOf(pc);
     const std::uint32_t tag = tagOf(pc);
-    stats.inc(cfg_.name + ".lookups");
+    counters_.inc(BtbStat::Lookups);
     for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
         const std::uint32_t entry = set * cfg_.ways + way;
         if (!array_.readBit(entry, 0))
@@ -120,7 +126,7 @@ Btb::lookup(std::uint32_t pc, dfi::StatSet &stats)
         const auto stored = static_cast<std::uint32_t>(
             array_.readBits(entry, 1, kBtbTagBits));
         if (stored == tag) {
-            stats.inc(cfg_.name + ".hits");
+            counters_.inc(BtbStat::Hits);
             lru_[entry] = ++stamp_;
             return static_cast<std::uint32_t>(
                 array_.readBits(entry, 1 + kBtbTagBits, 32));
@@ -168,6 +174,12 @@ Btb::entryLive(std::size_t index) const
     return array_.peekBit(index, 0);
 }
 
+dfi::StatSet
+Btb::stats() const
+{
+    return counters_.named(cfg_.name + ".", kBtbStatNames);
+}
+
 Ras::Ras(std::string name, std::uint32_t entries)
     : entries_(entries), array_(std::move(name), entries, 32)
 {
@@ -213,6 +225,7 @@ Btb::serializeState(Ar &ar)
     serial::value(ar, array_);
     serial::value(ar, lru_);
     serial::value(ar, stamp_);
+    serial::value(ar, counters_);
 }
 
 template void Btb::serializeState(serial::Writer &);

@@ -66,6 +66,14 @@ class TournamentPredictor
     std::uint32_t ghr_ = 0;
 };
 
+/** Events a BTB counts, named `<btb>.<event>` (e.g. "btb.hits"). */
+enum class BtbStat : std::uint8_t
+{
+    Lookups,
+    Hits,
+    Count
+};
+
 /** BTB organization. */
 struct BtbConfig
 {
@@ -85,7 +93,7 @@ class Btb
     explicit Btb(const BtbConfig &config);
 
     /** Predicted target for `pc`, or 0 when no entry matches. */
-    std::uint32_t lookup(std::uint32_t pc, dfi::StatSet &stats);
+    std::uint32_t lookup(std::uint32_t pc);
 
     /** Install/refresh the target of a taken branch. */
     void update(std::uint32_t pc, std::uint32_t target);
@@ -93,7 +101,11 @@ class Btb
     dfi::FaultableArray &array() { return array_; }
     bool entryLive(std::size_t index) const;
 
-    /** Serialize entry array and LRU books (cache spill). */
+    const dfi::Counters<BtbStat> &counters() const { return counters_; }
+    /** The nonzero counters, named `<btb>.<event>`. */
+    dfi::StatSet stats() const;
+
+    /** Serialize entry array, LRU books and counters (cache spill). */
     template <class Ar> void serializeState(Ar &ar);
 
   private:
@@ -105,6 +117,7 @@ class Btb
     dfi::FaultableArray array_; //!< rows: [valid:1][tag:16][target:32]
     std::vector<std::uint64_t> lru_;
     std::uint64_t stamp_ = 0;
+    dfi::Counters<BtbStat> counters_;
 };
 
 /** Return-address stack with an injectable entry array. */

@@ -8,6 +8,21 @@ namespace dfi::uarch
 namespace
 {
 
+/** StatSet names of the CacheStat counters, in enum order. */
+const char *const kCacheStatNames[] = {
+    "read_accesses",
+    "write_accesses",
+    "read_hits",
+    "write_hits",
+    "read_misses",
+    "write_misses",
+    "replacements",
+    "writebacks",
+    "fills",
+    "fill_lost",
+    "prefetches",
+};
+
 std::uint32_t
 log2u(std::uint32_t value)
 {
@@ -58,13 +73,13 @@ Cache::rebuildAddr(std::uint32_t set, std::uint32_t tag) const
 }
 
 Cache::Lookup
-Cache::access(std::uint32_t addr, bool is_write, dfi::StatSet &stats)
+Cache::access(std::uint32_t addr, bool is_write)
 {
     const std::uint32_t set = setOf(addr);
     const std::uint32_t tag = tagOf(addr);
-    const std::string &p = cfg_.name;
 
-    stats.inc(p + (is_write ? ".write_accesses" : ".read_accesses"));
+    counters_.inc(is_write ? CacheStat::WriteAccesses
+                           : CacheStat::ReadAccesses);
 
     for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
         const std::uint32_t line = set * cfg_.ways + way;
@@ -73,12 +88,14 @@ Cache::access(std::uint32_t addr, bool is_write, dfi::StatSet &stats)
         const std::uint32_t stored_tag = static_cast<std::uint32_t>(
             tags_.readBits(line, 0, tagBits_));
         if (stored_tag == tag) {
-            stats.inc(p + (is_write ? ".write_hits" : ".read_hits"));
+            counters_.inc(is_write ? CacheStat::WriteHits
+                                   : CacheStat::ReadHits);
             lruStamp_[line] = ++stamp_;
             return Lookup{true, line};
         }
     }
-    stats.inc(p + (is_write ? ".write_misses" : ".read_misses"));
+    counters_.inc(is_write ? CacheStat::WriteMisses
+                           : CacheStat::ReadMisses);
     return Lookup{};
 }
 
@@ -104,14 +121,13 @@ Cache::probe(std::uint32_t addr) const
 }
 
 Cache::Eviction
-Cache::fillTagsOnly(std::uint32_t addr, dfi::StatSet &stats)
+Cache::fillTagsOnly(std::uint32_t addr)
 {
-    return fill(addr, nullptr, stats);
+    return fill(addr, nullptr);
 }
 
 Cache::Eviction
-Cache::fill(std::uint32_t addr, const std::uint8_t *bytes,
-            dfi::StatSet &stats)
+Cache::fill(std::uint32_t addr, const std::uint8_t *bytes)
 {
     const std::uint32_t set = setOf(addr);
     const std::uint32_t tag = tagOf(addr);
@@ -140,7 +156,7 @@ Cache::fill(std::uint32_t addr, const std::uint8_t *bytes,
 
     Eviction evicted;
     if (!found_invalid) {
-        stats.inc(cfg_.name + ".replacements");
+        counters_.inc(CacheStat::Replacements);
         evicted.valid = true;
         evicted.dirty = dirty_[victim] != 0;
         const std::uint32_t old_tag = static_cast<std::uint32_t>(
@@ -150,7 +166,7 @@ Cache::fill(std::uint32_t addr, const std::uint8_t *bytes,
             evicted.bytes.resize(cfg_.lineBytes);
             data_.readBytes(victim, 0, cfg_.lineBytes,
                             evicted.bytes.data());
-            stats.inc(cfg_.name + ".writebacks");
+            counters_.inc(CacheStat::Writebacks);
         }
     }
 
@@ -160,7 +176,7 @@ Cache::fill(std::uint32_t addr, const std::uint8_t *bytes,
     valid_.writeBit(victim, 0, true);
     dirty_[victim] = 0;
     lruStamp_[victim] = ++stamp_;
-    stats.inc(cfg_.name + ".fills");
+    counters_.inc(CacheStat::Fills);
     return evicted;
 }
 
@@ -185,6 +201,12 @@ Cache::lineValid(std::uint32_t line) const
     return valid_.peekBit(line, 0);
 }
 
+dfi::StatSet
+Cache::stats() const
+{
+    return counters_.named(cfg_.name + ".", kCacheStatNames);
+}
+
 template <class Ar>
 void
 Cache::serializeState(Ar &ar)
@@ -195,6 +217,7 @@ Cache::serializeState(Ar &ar)
     serial::value(ar, dirty_);
     serial::value(ar, lruStamp_);
     serial::value(ar, stamp_);
+    serial::value(ar, counters_);
 }
 
 template void Cache::serializeState(serial::Writer &);

@@ -25,6 +25,26 @@
 namespace dfi::uarch
 {
 
+/**
+ * Events one cache counts, named `<cache>.<event>` (e.g.
+ * "l1d.read_hits") in the core's StatSet.
+ */
+enum class CacheStat : std::uint8_t
+{
+    ReadAccesses,
+    WriteAccesses,
+    ReadHits,
+    WriteHits,
+    ReadMisses,
+    WriteMisses,
+    Replacements,
+    Writebacks,
+    Fills,
+    FillLost,   //!< counted by MemHierarchy for an unreachable fill
+    Prefetches, //!< counted by MemHierarchy for a next-line prefetch
+    Count
+};
+
 /** Geometry of one cache. */
 struct CacheConfig
 {
@@ -57,8 +77,7 @@ class Cache
      * Probe for `addr`'s line; updates LRU and hit/miss statistics.
      * Reads the valid and tag arrays (fault-visible).
      */
-    Lookup access(std::uint32_t addr, bool is_write,
-                  dfi::StatSet &stats);
+    Lookup access(std::uint32_t addr, bool is_write);
 
     /** Probe without LRU/stat side effects (and without array reads). */
     bool probe(std::uint32_t addr) const;
@@ -77,8 +96,7 @@ class Cache
      * (lineBytes of them); returns the victim.  Counts a replacement
      * of a valid line in the statistics.
      */
-    Eviction fill(std::uint32_t addr, const std::uint8_t *bytes,
-                  dfi::StatSet &stats);
+    Eviction fill(std::uint32_t addr, const std::uint8_t *bytes);
 
     /**
      * Install only the tag/valid state for `addr` (no data-array
@@ -86,7 +104,7 @@ class Cache
      * MARSS behaviour before the MaFIN data-array extension —
      * timing-complete, injection-blind.
      */
-    Eviction fillTagsOnly(std::uint32_t addr, dfi::StatSet &stats);
+    Eviction fillTagsOnly(std::uint32_t addr);
 
     /** Read bytes within a resident line (data array read). */
     void readLine(std::uint32_t line, std::uint32_t offset,
@@ -106,12 +124,19 @@ class Cache
     /** True when the line is live (valid-bit array read). */
     bool lineValid(std::uint32_t line) const;
 
+    /** This cache's event counters. */
+    dfi::Counters<CacheStat> &counters() { return counters_; }
+    const dfi::Counters<CacheStat> &counters() const { return counters_; }
+
+    /** The nonzero counters, named `<cache>.<event>`. */
+    dfi::StatSet stats() const;
+
     /** Injectable arrays. */
     dfi::FaultableArray &tagArray() { return tags_; }
     dfi::FaultableArray &dataArray() { return data_; }
     dfi::FaultableArray &validArray() { return valid_; }
 
-    /** Serialize dynamic state (arrays, dirty/LRU books). */
+    /** Serialize dynamic state (arrays, dirty/LRU books, counters). */
     template <class Ar> void serializeState(Ar &ar);
 
     /** Upper bound on checkpointable state (budget accounting). */
@@ -141,6 +166,7 @@ class Cache
     std::vector<std::uint8_t> dirty_;
     std::vector<std::uint64_t> lruStamp_;
     std::uint64_t stamp_ = 0;
+    dfi::Counters<CacheStat> counters_;
 };
 
 } // namespace dfi::uarch

@@ -12,6 +12,23 @@ MemHierarchy::MemHierarchy(const HierConfig &config,
       pfD_("prefetch_l1d", config.l1d.lineBytes),
       pfI_("prefetch_l1i", config.l1i.lineBytes)
 {
+    const std::uint32_t line = cfg_.l1d.lineBytes;
+    if (cfg_.l1i.lineBytes != line || cfg_.l2.lineBytes != line ||
+        line > kMaxLineBytes) {
+        fatal("cache line sizes must be equal and at most %s bytes "
+              "(l1i %s, l1d %s, l2 %s)",
+              kMaxLineBytes, cfg_.l1i.lineBytes, line,
+              cfg_.l2.lineBytes);
+    }
+}
+
+dfi::StatSet
+MemHierarchy::stats() const
+{
+    dfi::StatSet out = l1i_.stats();
+    out.merge(l1d_.stats());
+    out.merge(l2_.stats());
+    return out;
 }
 
 bool
@@ -35,12 +52,11 @@ MemHierarchy::directWrite(std::uint32_t pa, std::uint32_t count,
 }
 
 std::uint32_t
-MemHierarchy::ensureLineL2(std::uint32_t line_addr, std::uint8_t *bytes,
-                           dfi::StatSet &stats)
+MemHierarchy::ensureLineL2(std::uint32_t line_addr, std::uint8_t *bytes)
 {
     const std::uint32_t line_len = cfg_.l2.lineBytes;
     std::uint32_t latency = cfg_.l2.hitLatency;
-    const Cache::Lookup hit = l2_.access(line_addr, false, stats);
+    const Cache::Lookup hit = l2_.access(line_addr, false);
     if (hit.hit) {
         l2_.readLine(hit.line, 0, line_len, bytes);
         return latency;
@@ -54,11 +70,11 @@ MemHierarchy::ensureLineL2(std::uint32_t line_addr, std::uint8_t *bytes,
         for (std::uint32_t i = 0; i < line_len; ++i)
             bytes[i] = 0;
     }
-    const Cache::Eviction evicted = l2_.fill(line_addr, bytes, stats);
+    const Cache::Eviction evicted = l2_.fill(line_addr, bytes);
     handleL2Eviction(evicted);
     // Read back through the data array so resident L2 faults apply to
     // the filled line immediately.
-    const Cache::Lookup refetch = l2_.access(line_addr, false, stats);
+    const Cache::Lookup refetch = l2_.access(line_addr, false);
     if (refetch.hit)
         l2_.readLine(refetch.line, 0, line_len, bytes);
     return latency;
@@ -82,21 +98,20 @@ MemHierarchy::handleL2Eviction(const Cache::Eviction &evicted)
 }
 
 void
-MemHierarchy::handleL1Eviction(const Cache::Eviction &evicted,
-                               dfi::StatSet &stats)
+MemHierarchy::handleL1Eviction(const Cache::Eviction &evicted)
 {
     if (!evicted.valid || !evicted.dirty || evicted.bytes.empty())
         return; // tags-only evictions carry no data to move
     // Dirty L1 victim: install into L2 (allocate-on-writeback).
     const std::uint32_t line_len = cfg_.l2.lineBytes;
-    const Cache::Lookup hit = l2_.access(evicted.addr, true, stats);
+    const Cache::Lookup hit = l2_.access(evicted.addr, true);
     if (hit.hit) {
         l2_.writeLine(hit.line, 0, line_len, evicted.bytes.data());
     } else {
         const Cache::Eviction l2_victim =
-            l2_.fill(evicted.addr, evicted.bytes.data(), stats);
+            l2_.fill(evicted.addr, evicted.bytes.data());
         // The incoming line is dirty relative to memory.
-        const Cache::Lookup placed = l2_.access(evicted.addr, true, stats);
+        const Cache::Lookup placed = l2_.access(evicted.addr, true);
         if (placed.hit)
             l2_.writeLine(placed.line, 0, 0, evicted.bytes.data());
         handleL2Eviction(l2_victim);
@@ -117,73 +132,66 @@ MemHierarchy::handleL1Eviction(const Cache::Eviction &evicted,
 
 std::pair<std::uint32_t, std::uint32_t>
 MemHierarchy::ensureLine(Cache &l1, std::uint32_t pa, bool is_write,
-                         bool is_fetch, dfi::StatSet &stats)
+                         bool is_fetch)
 {
     const std::uint32_t line_addr = l1.lineAddr(pa);
     std::uint32_t latency = l1.config().hitLatency;
-    Cache::Lookup hit = l1.access(pa, is_write, stats);
+    Cache::Lookup hit = l1.access(pa, is_write);
     if (!hit.hit) {
         if (cfg_.mode == HierMode::Shadow && !cfg_.modelDataArrays) {
             // Original-MARSS fill: tags/valid only, no byte traffic.
             latency += cfg_.l2.hitLatency;
-            const Cache::Lookup l2_hit =
-                l2_.access(line_addr, false, stats);
+            const Cache::Lookup l2_hit = l2_.access(line_addr, false);
             if (!l2_hit.hit) {
                 latency += cfg_.memLatency;
-                handleL2Eviction(l2_.fillTagsOnly(line_addr, stats));
+                handleL2Eviction(l2_.fillTagsOnly(line_addr));
             }
-            handleL1Eviction(l1.fillTagsOnly(line_addr, stats),
-                             stats);
-            hit = l1.access(pa, false, stats);
+            handleL1Eviction(l1.fillTagsOnly(line_addr));
+            hit = l1.access(pa, false);
             if (!hit.hit)
                 return {~0u, latency};
             return {hit.line, latency};
         }
-        std::vector<std::uint8_t> bytes(l1.config().lineBytes);
-        latency += ensureLineL2(line_addr, bytes.data(), stats);
-        const Cache::Eviction evicted =
-            l1.fill(line_addr, bytes.data(), stats);
-        handleL1Eviction(evicted, stats);
-        hit = l1.access(pa, false, stats);
+        std::uint8_t bytes[kMaxLineBytes];
+        latency += ensureLineL2(line_addr, bytes);
+        const Cache::Eviction evicted = l1.fill(line_addr, bytes);
+        handleL1Eviction(evicted);
+        hit = l1.access(pa, false);
         if (!hit.hit) {
             // A resident fault in the tag/valid arrays can make the
             // just-filled line unreachable; treat as repeated miss.
-            stats.inc(l1.config().name + ".fill_lost");
+            l1.counters().inc(CacheStat::FillLost);
             return {~0u, latency};
         }
         // Demand-miss prefetch.
         if (is_fetch && cfg_.prefetchL1I)
-            prefetchInto(l1i_, pfI_, line_addr, true, stats);
+            prefetchInto(l1i_, pfI_, line_addr);
         else if (!is_fetch && cfg_.prefetchL1D)
-            prefetchInto(l1d_, pfD_, line_addr, false, stats);
+            prefetchInto(l1d_, pfD_, line_addr);
     }
     return {hit.line, latency};
 }
 
 void
 MemHierarchy::prefetchInto(Cache &l1, NextLinePrefetcher &pf,
-                           std::uint32_t miss_line, bool is_fetch,
-                           dfi::StatSet &stats)
+                           std::uint32_t miss_line)
 {
-    (void)is_fetch;
     const std::uint32_t target = pf.onMiss(miss_line);
     if (target >= memory_.size())
         return;
     if (l1.probe(target))
         return;
-    stats.inc(l1.config().name + ".prefetches");
-    std::vector<std::uint8_t> bytes(l1.config().lineBytes);
-    ensureLineL2(l1.lineAddr(target), bytes.data(), stats);
-    const Cache::Eviction evicted =
-        l1.fill(l1.lineAddr(target), bytes.data(), stats);
-    handleL1Eviction(evicted, stats);
+    l1.counters().inc(CacheStat::Prefetches);
+    std::uint8_t bytes[kMaxLineBytes];
+    ensureLineL2(l1.lineAddr(target), bytes);
+    const Cache::Eviction evicted = l1.fill(l1.lineAddr(target), bytes);
+    handleL1Eviction(evicted);
 }
 
 MemHierarchy::Access
 MemHierarchy::accessLine(Cache &l1, std::uint32_t pa,
                          std::uint32_t count, std::uint8_t *data,
-                         bool is_write, bool is_fetch,
-                         dfi::StatSet &stats)
+                         bool is_write, bool is_fetch)
 {
     Access access;
     if (static_cast<std::uint64_t>(pa) + count > memory_.size()) {
@@ -192,8 +200,7 @@ MemHierarchy::accessLine(Cache &l1, std::uint32_t pa,
             data[i] = 0;
         return access;
     }
-    const auto [line, latency] =
-        ensureLine(l1, pa, is_write, is_fetch, stats);
+    const auto [line, latency] = ensureLine(l1, pa, is_write, is_fetch);
     access.latency = latency;
     if (line == ~0u) {
         // Unreachable line (resident tag fault): fall back to memory
@@ -227,7 +234,7 @@ MemHierarchy::accessLine(Cache &l1, std::uint32_t pa,
 
 MemHierarchy::Access
 MemHierarchy::read(std::uint32_t pa, std::uint32_t count,
-                   std::uint8_t *out, dfi::StatSet &stats)
+                   std::uint8_t *out)
 {
     Access total;
     std::uint32_t done = 0;
@@ -237,7 +244,7 @@ MemHierarchy::read(std::uint32_t pa, std::uint32_t count,
             line_addr + cfg_.l1d.lineBytes - (pa + done);
         const std::uint32_t chunk = std::min(count - done, line_left);
         const Access a = accessLine(l1d_, pa + done, chunk, out + done,
-                                    false, false, stats);
+                                    false, false);
         total.latency += a.latency;
         total.ok = total.ok && a.ok;
         done += chunk;
@@ -247,7 +254,7 @@ MemHierarchy::read(std::uint32_t pa, std::uint32_t count,
 
 MemHierarchy::Access
 MemHierarchy::write(std::uint32_t pa, std::uint32_t count,
-                    const std::uint8_t *in, dfi::StatSet &stats)
+                    const std::uint8_t *in)
 {
     Access total;
     std::uint32_t done = 0;
@@ -260,7 +267,7 @@ MemHierarchy::write(std::uint32_t pa, std::uint32_t count,
         for (std::uint32_t i = 0; i < chunk; ++i)
             buffer[i] = in[done + i];
         const Access a = accessLine(l1d_, pa + done, chunk, buffer,
-                                    true, false, stats);
+                                    true, false);
         total.latency += a.latency;
         total.ok = total.ok && a.ok;
         done += chunk;
@@ -270,7 +277,7 @@ MemHierarchy::write(std::uint32_t pa, std::uint32_t count,
 
 MemHierarchy::Access
 MemHierarchy::fetch(std::uint32_t pa, std::uint32_t count,
-                    std::uint8_t *out, dfi::StatSet &stats)
+                    std::uint8_t *out)
 {
     Access total;
     std::uint32_t done = 0;
@@ -280,7 +287,7 @@ MemHierarchy::fetch(std::uint32_t pa, std::uint32_t count,
             line_addr + cfg_.l1i.lineBytes - (pa + done);
         const std::uint32_t chunk = std::min(count - done, line_left);
         const Access a = accessLine(l1i_, pa + done, chunk, out + done,
-                                    false, true, stats);
+                                    false, true);
         total.latency += a.latency;
         total.ok = total.ok && a.ok;
         done += chunk;
@@ -290,19 +297,19 @@ MemHierarchy::fetch(std::uint32_t pa, std::uint32_t count,
 
 MemHierarchy::Access
 MemHierarchy::kernelRead(std::uint32_t pa, std::uint32_t count,
-                         std::uint8_t *out, dfi::StatSet &stats)
+                         std::uint8_t *out)
 {
-    return read(pa, count, out, stats);
+    return read(pa, count, out);
 }
 
 void
-MemHierarchy::kernelTouchInstr(std::uint32_t pa, dfi::StatSet &stats)
+MemHierarchy::kernelTouchInstr(std::uint32_t pa)
 {
     if (pa >= memory_.size())
         return;
     std::uint8_t dummy[4];
     (void)accessLine(l1i_, pa, std::min<std::uint32_t>(4, 64), dummy,
-                     false, true, stats);
+                     false, true);
 }
 
 template <class Ar>

@@ -39,6 +39,13 @@ enum class HierMode
     WriteBack //!< gem5-like: caches authoritative
 };
 
+/**
+ * Largest cache line the hierarchy moves, in bytes.  Fills go through
+ * a stack buffer of this size, and every level must use the same line
+ * size (the MemHierarchy constructor rejects other geometries).
+ */
+constexpr std::uint32_t kMaxLineBytes = 256;
+
 /** Hierarchy configuration. */
 struct HierConfig
 {
@@ -65,6 +72,10 @@ class MemHierarchy
 {
   public:
     MemHierarchy() = default;
+    /**
+     * fatal() unless L1I, L1D and L2 share one line size of at most
+     * kMaxLineBytes.
+     */
     MemHierarchy(const HierConfig &config, syskit::GuestMemory memory);
 
     /**
@@ -78,15 +89,15 @@ class MemHierarchy
         std::uint32_t latency = 0;
     };
     Access read(std::uint32_t pa, std::uint32_t count,
-                std::uint8_t *out, dfi::StatSet &stats);
+                std::uint8_t *out);
 
     /** Data write through L1D (write-allocate). */
     Access write(std::uint32_t pa, std::uint32_t count,
-                 const std::uint8_t *in, dfi::StatSet &stats);
+                 const std::uint8_t *in);
 
     /** Instruction fetch of `count` bytes through L1I. */
     Access fetch(std::uint32_t pa, std::uint32_t count,
-                 std::uint8_t *out, dfi::StatSet &stats);
+                 std::uint8_t *out);
 
     /** Hypervisor/kernel direct access (Shadow mode semantics). */
     bool directRead(std::uint32_t pa, std::uint32_t count,
@@ -99,10 +110,10 @@ class MemHierarchy
      * kernel ticks): reads through the data hierarchy.
      */
     Access kernelRead(std::uint32_t pa, std::uint32_t count,
-                      std::uint8_t *out, dfi::StatSet &stats);
+                      std::uint8_t *out);
 
     /** Touch a line in L1I (kernel-handler instruction fetch analog). */
-    void kernelTouchInstr(std::uint32_t pa, dfi::StatSet &stats);
+    void kernelTouchInstr(std::uint32_t pa);
 
     syskit::GuestMemory &memory() { return memory_; }
     const syskit::GuestMemory &memory() const { return memory_; }
@@ -112,6 +123,9 @@ class MemHierarchy
     NextLinePrefetcher &l1dPrefetcher() { return pfD_; }
     NextLinePrefetcher &l1iPrefetcher() { return pfI_; }
     const HierConfig &config() const { return cfg_; }
+
+    /** The nonzero counters of all three caches. */
+    dfi::StatSet stats() const;
 
     /** Upper bound on checkpointable state (budget accounting). */
     std::uint64_t
@@ -127,26 +141,22 @@ class MemHierarchy
   private:
     /** Access one-line-contained span through a given L1. */
     Access accessLine(Cache &l1, std::uint32_t pa, std::uint32_t count,
-                      std::uint8_t *data, bool is_write, bool is_fetch,
-                      dfi::StatSet &stats);
+                      std::uint8_t *data, bool is_write, bool is_fetch);
 
     /** Ensure the line holding pa is in `l1`; returns {line, latency}. */
     std::pair<std::uint32_t, std::uint32_t>
     ensureLine(Cache &l1, std::uint32_t pa, bool is_write,
-               bool is_fetch, dfi::StatSet &stats);
+               bool is_fetch);
 
     /** Fill one line into L2 from memory; returns latency. */
     std::uint32_t ensureLineL2(std::uint32_t line_addr,
-                               std::uint8_t *bytes,
-                               dfi::StatSet &stats);
+                               std::uint8_t *bytes);
 
-    void handleL1Eviction(const Cache::Eviction &evicted,
-                          dfi::StatSet &stats);
+    void handleL1Eviction(const Cache::Eviction &evicted);
     void handleL2Eviction(const Cache::Eviction &evicted);
 
     void prefetchInto(Cache &l1, NextLinePrefetcher &pf,
-                      std::uint32_t miss_line, bool is_fetch,
-                      dfi::StatSet &stats);
+                      std::uint32_t miss_line);
 
     HierConfig cfg_;
     syskit::GuestMemory memory_;

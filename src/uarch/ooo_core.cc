@@ -1,6 +1,7 @@
 #include "uarch/ooo_core.hh"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "common/logging.hh"
@@ -31,6 +32,26 @@ constexpr std::size_t kIqPayloadBits =
 /** Kernel code/data region used by kernel-mode accesses. */
 constexpr std::uint32_t kKernelBase = 0x100;
 
+/** StatSet names of the CoreStat counters, in enum order. */
+const char *const kCoreStatNames[] = {
+    "fetched_instructions",
+    "fetch_faults",
+    "branches_predicted",
+    "renamed_instructions",
+    "issued_instructions",
+    "issued_loads",
+    "issued_stores",
+    "store_to_load_forwards",
+    "memory_order_violations",
+    "branch_mispredictions",
+    "pipeline_flushes",
+    "committed_loads",
+    "committed_stores",
+    "committed_branches",
+    "syscalls",
+    "kernel_ticks",
+};
+
 bool
 rangesOverlap(std::uint32_t a, std::uint32_t aw, std::uint32_t b,
               std::uint32_t bw)
@@ -50,6 +71,7 @@ OooCore::OooCore(const CoreConfig &config, const isa::Image &image)
       btbIndirect_(config.splitBtb ? config.btbIndirect
                                    : BtbConfig{"btb_indirect", 1, 1}),
       ras_("ras", config.rasEntries),
+      fetchRing_(3 * config.fetchWidth),
       intRf_("int_rf", config.numPhysInt, 32),
       fpRf_("fp_rf", config.numPhysFp, 32),
       rob_(config.robEntries),
@@ -58,7 +80,8 @@ OooCore::OooCore(const CoreConfig &config, const isa::Image &image)
       lsqData_("lsq.data",
                config.unifiedLsq ? config.lsqEntries : 1, 32),
       lqData_("lq.data", config.unifiedLsq ? 1 : config.lqEntries, 32),
-      sqData_("sq.data", config.unifiedLsq ? 1 : config.sqEntries, 32)
+      sqData_("sq.data", config.unifiedLsq ? 1 : config.sqEntries, 32),
+      issueCandidates_(config.iqEntries)
 {
     if (cfg_.isa != image.isa)
         fatal("core '%s' is %s but image is %s", cfg_.name,
@@ -168,9 +191,23 @@ OooCore::finish(syskit::Termination term, const std::string &detail)
     record_.cycles = cycle_;
     record_.instructions = committed_;
     os_.finishInto(record_);
-    stats_.set("cycles", cycle_);
-    stats_.set("committed_instructions", committed_);
-    record_.stats = stats_;
+    record_.stats = stats();
+}
+
+dfi::StatSet
+OooCore::stats() const
+{
+    dfi::StatSet out = counters_.named("", kCoreStatNames);
+    out.merge(hier_.stats());
+    out.merge(itlb_.stats());
+    out.merge(dtlb_.stats());
+    out.merge(btb_.stats());
+    out.merge(btbIndirect_.stats());
+    if (finished_) {
+        out.set("cycles", cycle_);
+        out.set("committed_instructions", committed_);
+    }
+    return out;
 }
 
 void
@@ -213,10 +250,10 @@ OooCore::flushFrom(std::uint64_t first_bad_seq, std::uint32_t new_pc)
         uop.valid = false;
         --robCount_;
     }
-    fetchQueue_.clear();
+    fetchCount_ = 0;
     fetchPc_ = new_pc;
     fetchReadyCycle_ = cycle_ + 3; // redirect penalty
-    stats_.inc("pipeline_flushes");
+    counters_.inc(CoreStat::PipelineFlushes);
 }
 
 void
@@ -239,9 +276,9 @@ OooCore::predictAndRedirect(FetchedInst &fetched)
     switch (op.kind) {
       case OpKind::BrCond: {
         const bool taken = predictor_.predict(pc);
-        stats_.inc("branches_predicted");
+        counters_.inc(CoreStat::BranchesPredicted);
         if (taken) {
-            const std::uint32_t target = btb_.lookup(pc, stats_);
+            const std::uint32_t target = btb_.lookup(pc);
             if (target != 0)
                 next = target;
             // Without a BTB entry the front end cannot redirect even
@@ -260,14 +297,14 @@ OooCore::predictAndRedirect(FetchedInst &fetched)
       case OpKind::CallInd: {
         ras_.push(npc);
         Btb &btb = cfg_.splitBtb ? btbIndirect_ : btb_;
-        const std::uint32_t target = btb.lookup(pc, stats_);
+        const std::uint32_t target = btb.lookup(pc);
         if (target != 0)
             next = target;
         break;
       }
       case OpKind::JumpInd: {
         Btb &btb = cfg_.splitBtb ? btbIndirect_ : btb_;
-        const std::uint32_t target = btb.lookup(pc, stats_);
+        const std::uint32_t target = btb.lookup(pc);
         if (target != 0)
             next = target;
         break;
@@ -286,16 +323,23 @@ OooCore::predictAndRedirect(FetchedInst &fetched)
 }
 
 void
+OooCore::fetchPush(const FetchedInst &fetched)
+{
+    fetchRing_[(fetchHead_ + fetchCount_) % fetchRing_.size()] = fetched;
+    ++fetchCount_;
+}
+
+void
 OooCore::fetchStage()
 {
     if (cycle_ < fetchReadyCycle_)
         return;
-    if (fetchQueue_.size() >= 2 * cfg_.fetchWidth)
+    if (fetchCount_ >= 2 * cfg_.fetchWidth)
         return;
 
     for (std::uint32_t n = 0; n < cfg_.fetchWidth; ++n) {
         const std::uint32_t pc = fetchPc_;
-        const Tlb::Result xlat = itlb_.translate(pc, stats_);
+        const Tlb::Result xlat = itlb_.translate(pc);
         std::uint8_t bytes[8] = {};
         const std::uint32_t want = cfg_.isa == IsaKind::X86 ? 6 : 4;
         std::uint32_t avail = want;
@@ -307,7 +351,7 @@ OooCore::fetchStage()
         }
         MemHierarchy::Access access;
         if (avail > 0)
-            access = hier_.fetch(xlat.pa, avail, bytes, stats_);
+            access = hier_.fetch(xlat.pa, avail, bytes);
         const std::uint32_t delay = xlat.latency + access.latency;
         if (delay > cfg_.hier.l1i.hitLatency)
             fetchReadyCycle_ = cycle_ + delay;
@@ -320,17 +364,17 @@ OooCore::fetchStage()
             fetched.op.kind = OpKind::Illegal;
             fetched.op.length = 1;
             fetched.predNextPc = pc + 1;
-            fetchQueue_.push_back(fetched);
+            fetchPush(fetched);
             fetchPc_ = pc + 1;
-            stats_.inc("fetch_faults");
+            counters_.inc(CoreStat::FetchFaults);
             break;
         }
         fetched.op = cfg_.isa == IsaKind::X86
                          ? isa::x86Decode(bytes, avail)
                          : isa::armDecode(bytes, avail);
-        stats_.inc("fetched_instructions");
+        counters_.inc(CoreStat::FetchedInstructions);
         predictAndRedirect(fetched);
-        fetchQueue_.push_back(fetched);
+        fetchPush(fetched);
         if (delay > cfg_.hier.l1i.hitLatency)
             break; // miss ends the fetch group
         if (fetched.op.isControl())
@@ -345,9 +389,9 @@ void
 OooCore::renameStage()
 {
     for (std::uint32_t n = 0; n < cfg_.renameWidth; ++n) {
-        if (fetchQueue_.empty() || robCount_ >= cfg_.robEntries)
+        if (fetchCount_ == 0 || robCount_ >= cfg_.robEntries)
             return;
-        const FetchedInst &fetched = fetchQueue_.front();
+        const FetchedInst &fetched = fetchRing_[fetchHead_];
         const MacroOp &op = fetched.op;
 
         const bool x86 = cfg_.isa == IsaKind::X86;
@@ -553,8 +597,9 @@ OooCore::renameStage()
         }
 
         ++robCount_;
-        fetchQueue_.erase(fetchQueue_.begin());
-        stats_.inc("renamed_instructions");
+        fetchHead_ = (fetchHead_ + 1) % fetchRing_.size();
+        --fetchCount_;
+        counters_.inc(CoreStat::RenamedInstructions);
     }
 }
 
@@ -565,13 +610,7 @@ void
 OooCore::issueStage()
 {
     // Collect occupied IQ slots ordered oldest-first.
-    struct Candidate
-    {
-        std::uint32_t slot;
-        std::uint64_t seq;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(cfg_.iqEntries);
+    std::size_t count = 0;
     for (std::uint32_t s = 0; s < cfg_.iqEntries; ++s) {
         if (!iqBusy_[s])
             continue;
@@ -594,10 +633,12 @@ OooCore::issueStage()
             iqBusy_[s] = false; // tolerated: drop the stale entry
             continue;
         }
-        candidates.push_back({s, uop.seq});
+        issueCandidates_[count++] = {s, uop.seq};
     }
+    const std::span<IssueCandidate> candidates(issueCandidates_.data(),
+                                               count);
     std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate &a, const Candidate &b) {
+              [](const IssueCandidate &a, const IssueCandidate &b) {
                   return a.seq < b.seq;
               });
 
@@ -606,7 +647,7 @@ OooCore::issueStage()
     std::uint32_t agus = cfg_.agus;
     std::uint32_t issued = 0;
 
-    for (const Candidate &cand : candidates) {
+    for (const IssueCandidate &cand : candidates) {
         if (issued >= cfg_.issueWidth)
             break;
         const std::uint64_t payload =
@@ -698,11 +739,11 @@ OooCore::issueStage()
         iqBusy_[cand.slot] = false;
         uop.iqSlot = -1;
         ++issued;
-        stats_.inc("issued_instructions");
+        counters_.inc(CoreStat::IssuedInstructions);
         if (uop.isLoad)
-            stats_.inc("issued_loads");
+            counters_.inc(CoreStat::IssuedLoads);
         if (uop.isStore)
-            stats_.inc("issued_stores");
+            counters_.inc(CoreStat::IssuedStores);
     }
 }
 
@@ -738,7 +779,7 @@ OooCore::storeViolationScan(const Uop &store)
         }
     }
     if (victim != nullptr) {
-        stats_.inc("memory_order_violations");
+        counters_.inc(CoreStat::MemoryOrderViolations);
         const std::uint32_t pc = victim->pc;
         flushFrom(victim->seq, pc);
     }
@@ -781,11 +822,11 @@ OooCore::resolveLoad(Uop &uop)
         value = static_cast<std::uint32_t>(
             array.readBits(entry, 0, uop.memWidth * 8));
         latency = 1;
-        stats_.inc("store_to_load_forwards");
+        counters_.inc(CoreStat::StoreToLoadForwards);
     } else {
         std::uint8_t bytes[8] = {};
         const MemHierarchy::Access access =
-            hier_.read(uop.memPA, uop.memWidth, bytes, stats_);
+            hier_.read(uop.memPA, uop.memWidth, bytes);
         if (!access.ok)
             uop.exc = Uop::Exc::MemFault;
         for (std::uint32_t b = 0; b < uop.memWidth; ++b)
@@ -836,7 +877,7 @@ OooCore::executeMemUop(Uop &uop)
         uop.memVA = va;
         if (va % uop.memWidth != 0)
             uop.dueMisaligned = true;
-        const Tlb::Result xlat = dtlb_.translate(va, stats_);
+        const Tlb::Result xlat = dtlb_.translate(va);
         uop.memPA = xlat.pa;
         uop.addrResolved = true;
         if (uop.isStore) {
@@ -1075,7 +1116,7 @@ OooCore::writebackStage()
                 btb.update(uop.pc, uop.actualNextPc);
             }
             if (uop.actualNextPc != uop.predNextPc) {
-                stats_.inc("branch_mispredictions");
+                counters_.inc(CoreStat::BranchMispredictions);
                 flushAllYounger(uop.seq, uop.actualNextPc);
                 return; // younger entries are gone
             }
@@ -1113,9 +1154,7 @@ OooCore::doSyscall(Uop &uop)
     class CachePort : public syskit::SysMemPort
     {
       public:
-        CachePort(MemHierarchy &hier, dfi::StatSet &stats)
-            : hier_(hier), stats_(stats)
-        {}
+        explicit CachePort(MemHierarchy &hier) : hier_(hier) {}
         bool
         readByte(std::uint32_t addr, std::uint8_t *out) override
         {
@@ -1123,13 +1162,12 @@ OooCore::doSyscall(Uop &uop)
                 return false;
             if (addr >= hier_.memory().size())
                 return false;
-            (void)hier_.kernelRead(addr, 1, out, stats_);
+            (void)hier_.kernelRead(addr, 1, out);
             return true;
         }
 
       private:
         MemHierarchy &hier_;
-        dfi::StatSet &stats_;
     };
 
     syskit::SyscallResult result;
@@ -1140,12 +1178,12 @@ OooCore::doSyscall(Uop &uop)
         result = os_.syscall(num, arg1, arg2, port, uop.pc);
     } else {
         // gem5: the simulated kernel runs through the caches.
-        CachePort port(hier_, stats_);
+        CachePort port(hier_);
         result = os_.syscall(num, arg1, arg2, port, uop.pc);
         for (std::uint32_t l = 0; l < cfg_.kernelTouchLines; ++l)
-            hier_.kernelTouchInstr(kKernelBase + 64 * l, stats_);
+            hier_.kernelTouchInstr(kKernelBase + 64 * l);
     }
-    stats_.inc("syscalls");
+    counters_.inc(CoreStat::Syscalls);
 
     if (result.kernelPanic) {
         ++committed_; // the trapping instruction itself retires
@@ -1265,12 +1303,12 @@ OooCore::commitOne()
             return false;
         }
         const MemHierarchy::Access access =
-            hier_.write(uop.memPA, uop.memWidth, bytes, stats_);
+            hier_.write(uop.memPA, uop.memWidth, bytes);
         if (!access.ok) {
             memory_fault("store to unmapped physical memory");
             return false;
         }
-        stats_.inc("committed_stores");
+        counters_.inc(CoreStat::CommittedStores);
     }
     if (uop.isLoad) {
         // Guest-level protection check for loads as well.
@@ -1287,10 +1325,10 @@ OooCore::commitOne()
             }
             return false;
         }
-        stats_.inc("committed_loads");
+        counters_.inc(CoreStat::CommittedLoads);
     }
     if (uop.op.kind == OpKind::BrCond)
-        stats_.inc("committed_branches");
+        counters_.inc(CoreStat::CommittedBranches);
 
     // Retire renames: free the mapping each destination replaces
     // (in-order commit guarantees commitMap holds the previous
@@ -1337,7 +1375,7 @@ OooCore::kernelTick()
     if (cfg_.kernelTickInterval == 0 ||
         cycle_ % cfg_.kernelTickInterval != 0 || cycle_ == 0)
         return;
-    stats_.inc("kernel_ticks");
+    counters_.inc(CoreStat::KernelTicks);
     frontendStallUntil_ =
         std::max<std::uint64_t>(frontendStallUntil_,
                                 cycle_ + cfg_.kernelTickCost);
@@ -1349,9 +1387,9 @@ OooCore::kernelTick()
     } else {
         // gem5: the kernel handler occupies the caches.
         for (std::uint32_t l = 0; l < cfg_.kernelTouchLines; ++l)
-            hier_.kernelTouchInstr(kKernelBase + 64 * l, stats_);
+            hier_.kernelTouchInstr(kKernelBase + 64 * l);
         std::uint8_t scratch[8] = {};
-        (void)hier_.kernelRead(kKernelBase, 8, scratch, stats_);
+        (void)hier_.kernelRead(kKernelBase, 8, scratch);
     }
 }
 
@@ -1488,7 +1526,7 @@ OooCore::approxStateBytes() const
              iqArray_.storageBytes() + lsqData_.storageBytes() +
              lqData_.storageBytes() + sqData_.storageBytes();
     bytes += rob_.capacity() * sizeof(Uop);
-    bytes += fetchQueue_.capacity() * sizeof(FetchedInst);
+    bytes += fetchRing_.capacity() * sizeof(FetchedInst);
     return bytes;
 }
 
@@ -1557,8 +1595,8 @@ OooCore::serializeState(Ar &ar)
     // cfg_ is construction-time data and is deliberately not part of
     // the stream; the loader constructs the core from the same config
     // first.  Every member below is dynamic state, listed in
-    // declaration order.
-    serial::value(ar, stats_);
+    // declaration order (the issueStage() scratch is not state).
+    serial::value(ar, counters_);
     serial::value(ar, record_);
     serial::value(ar, os_);
     serial::value(ar, finished_);
@@ -1574,7 +1612,17 @@ OooCore::serializeState(Ar &ar)
     serial::value(ar, ras_);
     serial::value(ar, fetchPc_);
     serial::value(ar, fetchReadyCycle_);
-    serial::value(ar, fetchQueue_);
+    serial::value(ar, fetchRing_);
+    serial::value(ar, fetchHead_);
+    serial::value(ar, fetchCount_);
+    if constexpr (!Ar::kSaving) {
+        if (fetchRing_.size() != 3 * std::size_t{cfg_.fetchWidth} ||
+            (!fetchRing_.empty() && fetchHead_ >= fetchRing_.size()) ||
+            fetchCount_ > fetchRing_.size()) {
+            ar.fail("core: fetch ring does not match the configuration");
+            return;
+        }
+    }
     serial::value(ar, intRf_);
     serial::value(ar, fpRf_);
     serial::value(ar, renameMap_);

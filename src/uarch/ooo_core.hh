@@ -136,6 +136,31 @@ struct FetchedInst
     template <class Ar> void serializeState(Ar &ar);
 };
 
+/**
+ * Pipeline events the core counts, named in its StatSet by the
+ * lower-case form of the enumerator (e.g. "issued_loads").
+ */
+enum class CoreStat : std::uint8_t
+{
+    FetchedInstructions,
+    FetchFaults,
+    BranchesPredicted,
+    RenamedInstructions,
+    IssuedInstructions,
+    IssuedLoads,
+    IssuedStores,
+    StoreToLoadForwards,
+    MemoryOrderViolations,
+    BranchMispredictions,
+    PipelineFlushes,
+    CommittedLoads,
+    CommittedStores,
+    CommittedBranches,
+    Syscalls,
+    KernelTicks,
+    Count
+};
+
 /** The core. */
 class OooCore
 {
@@ -159,7 +184,14 @@ class OooCore
 
     std::uint64_t cycle() const { return cycle_; }
     std::uint64_t committedInstructions() const { return committed_; }
-    dfi::StatSet &stats() { return stats_; }
+
+    /**
+     * Named view of the event counters of the core and of its caches,
+     * TLBs and BTBs: every nonzero counter, plus `cycles` and
+     * `committed_instructions` once the run has finished.  Built on
+     * each call; record().stats holds the copy built at finish.
+     */
+    dfi::StatSet stats() const;
     const CoreConfig &config() const { return cfg_; }
 
     /**
@@ -216,11 +248,12 @@ class OooCore
     bool resolveLoad(Uop &uop);
     void storeViolationScan(const Uop &store);
     void predictAndRedirect(FetchedInst &fetched);
+    void fetchPush(const FetchedInst &fetched);
     void doSyscall(Uop &uop);
     dfi::FaultableArray &lsqArrayFor(const Uop &uop, int *entry) const;
 
     CoreConfig cfg_;
-    dfi::StatSet stats_;
+    dfi::Counters<CoreStat> counters_;
     syskit::RunRecord record_;
     syskit::MiniOs os_;
     bool finished_ = false;
@@ -239,7 +272,12 @@ class OooCore
     Ras ras_;
     std::uint32_t fetchPc_ = 0;
     std::uint64_t fetchReadyCycle_ = 0;
-    std::vector<FetchedInst> fetchQueue_;
+    // Fetch queue: a ring of 3 x fetchWidth slots, sized once.  Fetch
+    // stops at 2 x fetchWidth queued and adds at most fetchWidth per
+    // cycle, so the ring never overflows.
+    std::vector<FetchedInst> fetchRing_;
+    std::uint32_t fetchHead_ = 0;
+    std::uint32_t fetchCount_ = 0;
 
     // Register state.
     dfi::FaultableArray intRf_;
@@ -266,6 +304,15 @@ class OooCore
 
     // Stall bookkeeping.
     std::uint64_t frontendStallUntil_ = 0;
+
+    // issueStage() scratch, sized once to iqEntries.  Not state: it is
+    // rebuilt every cycle and not serialized.
+    struct IssueCandidate
+    {
+        std::uint32_t slot;
+        std::uint64_t seq;
+    };
+    std::vector<IssueCandidate> issueCandidates_;
 };
 
 } // namespace dfi::uarch

@@ -9,6 +9,12 @@ namespace
 {
 constexpr std::uint32_t kPageBits = 12;
 constexpr std::uint32_t kVpnBits = 20;
+
+/** StatSet names of the TlbStat counters, in enum order. */
+const char *const kTlbStatNames[] = {
+    "hits",
+    "misses",
+};
 } // namespace
 
 Tlb::Tlb(std::string name, std::uint32_t entries,
@@ -20,7 +26,7 @@ Tlb::Tlb(std::string name, std::uint32_t entries,
 }
 
 Tlb::Result
-Tlb::translate(std::uint32_t va, dfi::StatSet &stats)
+Tlb::translate(std::uint32_t va)
 {
     const std::uint32_t vpn = va >> kPageBits;
     const std::uint32_t offset = va & ((1u << kPageBits) - 1);
@@ -31,10 +37,10 @@ Tlb::translate(std::uint32_t va, dfi::StatSet &stats)
     const std::uint32_t tag = static_cast<std::uint32_t>(
         array_.readBits(index, 1, kVpnBits));
     if (valid && tag == vpn) {
-        stats.inc(name_ + ".hits");
+        counters_.inc(TlbStat::Hits);
     } else {
         // Page walk: identity mapping fill.
-        stats.inc(name_ + ".misses");
+        counters_.inc(TlbStat::Misses);
         result.latency = missLatency_;
         array_.writeBit(index, 0, true);
         array_.writeBits(index, 1, kVpnBits, vpn);
@@ -52,11 +58,18 @@ Tlb::entryLive(std::size_t index) const
     return array_.peekBit(index, 0);
 }
 
+dfi::StatSet
+Tlb::stats() const
+{
+    return counters_.named(name_ + ".", kTlbStatNames);
+}
+
 template <class Ar>
 void
 Tlb::serializeState(Ar &ar)
 {
     serial::value(ar, array_);
+    serial::value(ar, counters_);
 }
 
 template void Tlb::serializeState(serial::Writer &);

@@ -22,6 +22,14 @@
 namespace dfi::uarch
 {
 
+/** Events a TLB counts, named `<tlb>.<event>` (e.g. "dtlb.hits"). */
+enum class TlbStat : std::uint8_t
+{
+    Hits,
+    Misses,
+    Count
+};
+
 /** One TLB (instruction or data). */
 class Tlb
 {
@@ -38,13 +46,17 @@ class Tlb
     };
 
     /** Translate a virtual address (fills the entry on miss). */
-    Result translate(std::uint32_t va, dfi::StatSet &stats);
+    Result translate(std::uint32_t va);
+
+    const dfi::Counters<TlbStat> &counters() const { return counters_; }
+    /** The nonzero counters, named `<tlb>.<event>`. */
+    dfi::StatSet stats() const;
 
     dfi::FaultableArray &array() { return array_; }
     /** True when entry `index` currently holds a mapping. */
     bool entryLive(std::size_t index) const;
 
-    /** Serialize the entry array (cache spill). */
+    /** Serialize the entry array and counters (cache spill). */
     template <class Ar> void serializeState(Ar &ar);
 
   private:
@@ -52,6 +64,7 @@ class Tlb
     std::uint32_t entries_ = 0;
     std::uint32_t missLatency_ = 20;
     dfi::FaultableArray array_;
+    dfi::Counters<TlbStat> counters_;
 };
 
 } // namespace dfi::uarch

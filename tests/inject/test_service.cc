@@ -10,11 +10,14 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.hh"
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/serial.hh"
 #include "inject/campaign.hh"
@@ -643,8 +646,21 @@ TEST(Service, ConcurrentDistinctKeysPrepareIndependently)
     EXPECT_EQ(stats.entries, 3u);
 }
 
+/** Disarms the failpoint registry on scope exit (test hygiene). */
+struct FailpointGuard
+{
+    ~FailpointGuard() { failpoint::reset(); }
+};
+
 TEST(Service, DrainUnderLoadCompletesAdmittedRequests)
 {
+    // Every request sleeps in the prepare seam, so none can finish
+    // before all four are admitted, however fast a campaign runs.
+    FailpointGuard guard;
+    std::string error;
+    ASSERT_TRUE(failpoint::configure("prep.alloc=delay:300", error))
+        << error;
+
     CampaignService::Options options;
     options.workers = 2;
     CampaignService service(options);
@@ -665,15 +681,24 @@ TEST(Service, DrainUnderLoadCompletesAdmittedRequests)
 
     // Wait until all four are admitted, then drain mid-flight: every
     // admitted request must still complete successfully.
-    while (service.statsJson().get("queue").get("active").asUint() <
-           4)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    bool admitted = false;
+    while (!admitted && std::chrono::steady_clock::now() < deadline) {
+        admitted =
+            service.statsJson().get("queue").get("active").asUint() ==
+            4;
+        if (!admitted)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(admitted) << "four requests were never in flight at once";
     service.drain();
 
     for (std::thread &thread : threads)
         thread.join();
     for (const ServiceResponse &response : responses)
         EXPECT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(failpoint::fireCount("prep.alloc"), 4u);
 }
 
 // ---------------------------------------------------------------
@@ -721,6 +746,11 @@ TEST(PreparedSerial, SaveLoadRoundTripReproducesCampaign)
               live_result.telemetryRuns);
     EXPECT_EQ(restored_result.telemetrySummary,
               live_result.telemetrySummary);
+    // The simulator counters ride in the archive too.
+    EXPECT_GT(live_result.aggregateStats.get("committed_instructions"),
+              0u);
+    EXPECT_EQ(restored_result.aggregateStats.dump(),
+              live_result.aggregateStats.dump());
 }
 
 TEST(PreparedSerial, TruncatedStreamFailsInsteadOfLoading)
@@ -838,6 +868,91 @@ TEST(ServiceDisk, CorruptSpillFilesFallBackToColdPrepare)
     std::filesystem::remove_all(options.cacheDir);
 }
 
+/**
+ * Rewrite the version tag at the head of a prepared-state spill file
+ * and re-frame its trailing FNV-1a digest, so the file still passes
+ * the integrity check and only the tag differs.
+ */
+void
+retagSpill(const std::filesystem::path &path, const std::string &from,
+           const std::string &to)
+{
+    ASSERT_EQ(from.size(), to.size());
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), sizeof(std::uint64_t));
+    bytes.resize(bytes.size() - sizeof(std::uint64_t));
+    // The stream opens with the tag: a u64 length, then the bytes.
+    ASSERT_EQ(bytes.compare(sizeof(std::uint64_t), from.size(), from), 0);
+    bytes.replace(sizeof(std::uint64_t), to.size(), to);
+    const std::uint64_t digest = hash::fnv1a(bytes);
+    bytes.append(reinterpret_cast<const char *>(&digest), sizeof digest);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+TEST(ServiceDisk, SpillWithAnOlderTagIsAColdMiss)
+{
+    CampaignService::Options options;
+    options.cacheDir = freshCacheDir("dfi-service-tag-cache");
+
+    ServiceRequest request;
+    request.config = smokeConfig();
+    request.config.numInjections = 8;
+
+    ServiceResponse cold;
+    {
+        CampaignService first(options);
+        cold = first.execute(request);
+        ASSERT_TRUE(cold.ok) << cold.error;
+    }
+    // Drop the response memo so a restart has to load prepared state.
+    std::filesystem::path spill;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(options.cacheDir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("resp_", 0) == 0)
+            std::filesystem::remove(entry.path());
+        else if (name.rfind("prep_", 0) == 0)
+            spill = entry.path();
+    }
+    ASSERT_FALSE(spill.empty());
+
+    // Control: re-framed with the current tag, the spill still loads.
+    ASSERT_NO_FATAL_FAILURE(
+        retagSpill(spill, "dfi-prep-cache-v2", "dfi-prep-cache-v2"));
+    {
+        CampaignService second(options);
+        const ServiceResponse warm = second.execute(request);
+        ASSERT_TRUE(warm.ok) << warm.error;
+        EXPECT_EQ(warm.cacheSource, "disk");
+        EXPECT_EQ(warm.telemetryRuns, cold.telemetryRuns);
+    }
+    for (const auto &entry :
+         std::filesystem::directory_iterator(options.cacheDir)) {
+        if (entry.path().filename().string().rfind("resp_", 0) == 0)
+            std::filesystem::remove(entry.path());
+    }
+
+    // A spill written under the previous format's tag is ignored and
+    // the request prepares cold.
+    ASSERT_NO_FATAL_FAILURE(
+        retagSpill(spill, "dfi-prep-cache-v2", "dfi-prep-cache-v1"));
+    CampaignService third(options);
+    const ServiceResponse fallback = third.execute(request);
+    ASSERT_TRUE(fallback.ok) << fallback.error;
+    EXPECT_FALSE(fallback.cacheHit);
+    EXPECT_EQ(fallback.cacheSource, "none");
+    EXPECT_EQ(third.cacheStats().diskHits, 0u);
+    EXPECT_EQ(fallback.telemetryRuns, cold.telemetryRuns);
+    EXPECT_EQ(fallback.telemetrySummary, cold.telemetrySummary);
+
+    std::filesystem::remove_all(options.cacheDir);
+}
+
 TEST(ServiceDisk, TimingResponsesAreNotMemoized)
 {
     CampaignService::Options options;
@@ -867,12 +982,6 @@ TEST(ServiceDisk, TimingResponsesAreNotMemoized)
 // ---------------------------------------------------------------
 // Chaos: disk-tier degradation under injected I/O failures
 // ---------------------------------------------------------------
-
-/** Disarms the failpoint registry on scope exit (test hygiene). */
-struct FailpointGuard
-{
-    ~FailpointGuard() { failpoint::reset(); }
-};
 
 TEST(ServiceChaos, DiskDegradesAfterConsecutiveIoFailures)
 {

@@ -23,35 +23,33 @@ using namespace dfi::uarch;
 TEST(Tlb, MissFillsIdentityMapping)
 {
     Tlb tlb("t", 64, 20);
-    StatSet stats;
-    const auto first = tlb.translate(0x12345678, stats);
+    const auto first = tlb.translate(0x12345678);
     EXPECT_EQ(first.pa, 0x12345678u);
     EXPECT_EQ(first.latency, 20u);
-    const auto second = tlb.translate(0x12345000, stats);
+    const auto second = tlb.translate(0x12345000);
     EXPECT_EQ(second.pa, 0x12345000u);
     EXPECT_EQ(second.latency, 0u); // hit, same page
-    EXPECT_EQ(stats.get("t.misses"), 1u);
-    EXPECT_EQ(stats.get("t.hits"), 1u);
+    EXPECT_EQ(tlb.counters().get(TlbStat::Misses), 1u);
+    EXPECT_EQ(tlb.counters().get(TlbStat::Hits), 1u);
+    EXPECT_EQ(tlb.stats().dump(), "t.hits = 1\nt.misses = 1\n");
 }
 
 TEST(Tlb, PfnFaultRedirectsTranslation)
 {
     Tlb tlb("t", 64, 20);
-    StatSet stats;
-    (void)tlb.translate(0x00002000, stats); // fill entry for vpn 2
+    (void)tlb.translate(0x00002000); // fill entry for vpn 2
     // Flip bit 0 of the pfn field (bit offset 1 + 20).
     tlb.array().flipBit(2 % 64, 21);
-    const auto redirected = tlb.translate(0x00002010, stats);
+    const auto redirected = tlb.translate(0x00002010);
     EXPECT_EQ(redirected.pa, 0x00003010u); // wrong physical page
 }
 
 TEST(Tlb, TagFaultForcesMiss)
 {
     Tlb tlb("t", 64, 20);
-    StatSet stats;
-    (void)tlb.translate(0x00005000, stats);
+    (void)tlb.translate(0x00005000);
     tlb.array().flipBit(5, 1); // tag bit
-    const auto again = tlb.translate(0x00005000, stats);
+    const auto again = tlb.translate(0x00005000);
     EXPECT_EQ(again.latency, 20u); // refill walk
     EXPECT_EQ(again.pa, 0x00005000u);
 }
@@ -59,9 +57,8 @@ TEST(Tlb, TagFaultForcesMiss)
 TEST(Tlb, EntryLiveTracksValidBit)
 {
     Tlb tlb("t", 64, 20);
-    StatSet stats;
     EXPECT_FALSE(tlb.entryLive(7));
-    (void)tlb.translate(7 * 0x1000, stats);
+    (void)tlb.translate(7 * 0x1000);
     EXPECT_TRUE(tlb.entryLive(7));
 }
 
@@ -122,29 +119,29 @@ TEST(Tournament, IndexSchemesDiverge)
 TEST(Btb, StoresAndReturnsTargets)
 {
     Btb btb(BtbConfig{"btb", 64, 4});
-    StatSet stats;
-    EXPECT_EQ(btb.lookup(0x1000, stats), 0u);
+    EXPECT_EQ(btb.lookup(0x1000), 0u);
     btb.update(0x1000, 0x2000);
-    EXPECT_EQ(btb.lookup(0x1000, stats), 0x2000u);
+    EXPECT_EQ(btb.lookup(0x1000), 0x2000u);
     btb.update(0x1000, 0x3000);
-    EXPECT_EQ(btb.lookup(0x1000, stats), 0x3000u);
+    EXPECT_EQ(btb.lookup(0x1000), 0x3000u);
+    EXPECT_EQ(btb.counters().get(BtbStat::Lookups), 3u);
+    EXPECT_EQ(btb.counters().get(BtbStat::Hits), 2u);
+    EXPECT_EQ(btb.stats().dump(), "btb.hits = 2\nbtb.lookups = 3\n");
 }
 
 TEST(Btb, DirectMappedConflicts)
 {
     Btb btb(BtbConfig{"btb", 16, 1});
-    StatSet stats;
     btb.update(0x1000, 0xaaaa);
     // 16 sets, pc>>1 indexing: +32 bytes aliases to the same set.
     btb.update(0x1000 + 32, 0xbbbb);
-    EXPECT_EQ(btb.lookup(0x1000, stats), 0u); // evicted
-    EXPECT_EQ(btb.lookup(0x1000 + 32, stats), 0xbbbbu);
+    EXPECT_EQ(btb.lookup(0x1000), 0u); // evicted
+    EXPECT_EQ(btb.lookup(0x1000 + 32), 0xbbbbu);
 }
 
 TEST(Btb, TargetFaultRedirects)
 {
     Btb btb(BtbConfig{"btb", 64, 4});
-    StatSet stats;
     btb.update(0x4000, 0x5000);
     // Flip a target bit: [valid:1][tag:16][target:32].
     const std::uint32_t set = (0x4000 >> 1) % 16;
@@ -153,7 +150,7 @@ TEST(Btb, TargetFaultRedirects)
         if (btb.entryLive(entry))
             btb.array().flipBit(entry, 1 + 16 + 4);
     }
-    EXPECT_EQ(btb.lookup(0x4000, stats), 0x5010u);
+    EXPECT_EQ(btb.lookup(0x4000), 0x5010u);
 }
 
 // --- RAS ---------------------------------------------------------------------
