@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Prove the campaign service serves byte-exact campaigns under
-# concurrency and that its caches survive a daemon restart.
+# concurrency, that one preparation serves every request on a program,
+# and that its caches survive a daemon restart.
 #
 # Leg 1 — concurrent warm cache:
 #   Starts a dfi-serve daemon with --workers 4, submits the three
@@ -18,21 +19,30 @@
 #      local dfi-campaign run;
 #   3. a second daemon started on the same socket to refuse to
 #      replace the live one;
-#   4. the daemon to drain and exit 0 on a shutdown request.
+#   4. a sweep — `--component l1d --seed 8` on the marss-x86 program
+#      the warm round just used — to report `cache_hit: true` with
+#      `cache_source: memory` (prepared state is keyed by what
+#      prepare() reads, not by structure or seed) and to be
+#      byte-equal to a local dfi-campaign run of the same flags;
+#   5. the daemon to drain and exit 0 on a shutdown request.
 #
 # Leg 2 — restart persistence:
 #   Starts a daemon with --cache-dir, runs the campaigns, SIGTERMs
 #   it, restarts it over the same directory, and requires:
 #
-#   5. the first daemon to drain and exit 0 on SIGTERM, leaving
+#   6. the first daemon to drain and exit 0 on SIGTERM, leaving
 #      prep_*.bin and resp_*.json spill files behind;
-#   6. exact repeat requests against the restarted daemon to replay
+#   7. exact repeat requests against the restarted daemon to replay
 #      the memoized response (`cache_source: response`) byte-equal
 #      to the golden baselines;
-#   7. a --no-prune variation to adopt the prepared state from disk
+#   8. a --no-prune variation to adopt the prepared state from disk
 #      (`cache_source: disk`) and stay `dfi-diff --exact`-equal to
 #      the golden baseline (pruned and unpruned artifacts differ in
-#      bytes but never in outcomes).
+#      bytes but never in outcomes);
+#   9. a sweep — `--component l1d --seed 9` on gem5-arm — to adopt
+#      the spill the first daemon wrote (`cache_source: disk`), to be
+#      byte-equal to a local dfi-campaign run, and to leave exactly
+#      3 prep_*.bin files: one spill per program, not per request.
 #
 # Usage:
 #   scripts/check_service.sh [WORKDIR]
@@ -40,8 +50,9 @@
 #   WORKDIR  scratch directory (default: a fresh mktemp -d)
 #
 # Environment:
-#   DFI_SERVE  dfi-serve binary (default build/tools/...)
-#   DFI_DIFF   dfi-diff binary  (default build/tools/...)
+#   DFI_SERVE     dfi-serve binary    (default build/tools/...)
+#   DFI_DIFF      dfi-diff binary     (default build/tools/...)
+#   DFI_CAMPAIGN  dfi-campaign binary (default build/tools/...)
 #
 # Run from the repository root after building:
 #   cmake -B build -S . && cmake --build build -j
@@ -53,12 +64,13 @@ cd "$(dirname "$0")/.."
 WORKDIR="${1:-$(mktemp -d)}"
 SERVE_BIN="${DFI_SERVE:-build/tools/dfi-serve}"
 DIFF_BIN="${DFI_DIFF:-build/tools/dfi-diff}"
+CAMPAIGN_BIN="${DFI_CAMPAIGN:-build/tools/dfi-campaign}"
 GOLDEN_DIR="results/golden"
 SOCKET="$WORKDIR/dfi-serve.sock"
 CACHE_DIR="$WORKDIR/cache"
 CORES=(marss-x86 gem5-x86 gem5-arm)
 
-for bin in "$SERVE_BIN" "$DIFF_BIN"; do
+for bin in "$SERVE_BIN" "$DIFF_BIN" "$CAMPAIGN_BIN"; do
     if [[ ! -x "$bin" ]]; then
         echo "error: $bin not found or not executable." >&2
         echo "build first: cmake -B build -S . && cmake --build build -j" >&2
@@ -131,15 +143,11 @@ request() {
         "$@" > "$base.out" 2> /dev/null
 }
 
-# verify CORE BASE EXPECTED_HIT EXPECTED_SOURCE BYTES: check the
-# cache provenance the client reported and diff the client-written
-# artifacts against the golden baselines.  BYTES=byte additionally
-# requires byte equality (pruned requests only: an unpruned artifact
-# is outcome-equal but not byte-equal to the pruned baseline).
-verify() {
-    local core="$1" base="$2" expected_hit="$3"
-    local expected_source="$4" bytes="$5"
-    local hit source golden_base
+# check_source BASE EXPECTED_HIT EXPECTED_SOURCE: check the cache
+# provenance the client reported for one request.
+check_source() {
+    local base="$1" expected_hit="$2" expected_source="$3"
+    local hit source
     hit=$(grep '^cache_hit: ' "$base.out" | cut -d' ' -f2)
     source=$(grep '^cache_source: ' "$base.out" | cut -d' ' -f2)
     if [[ "$hit" != "$expected_hit" ]]; then
@@ -151,6 +159,17 @@ verify() {
              "got '$source'" >&2
         status=1
     fi
+}
+
+# verify CORE BASE EXPECTED_HIT EXPECTED_SOURCE BYTES: check the
+# cache provenance and diff the client-written artifacts against the
+# golden baselines.  BYTES=byte additionally requires byte equality
+# (pruned requests only: an unpruned artifact is outcome-equal but
+# not byte-equal to the pruned baseline).
+verify() {
+    local core="$1" base="$2" bytes="$5"
+    local golden_base
+    check_source "$base" "$3" "$4"
 
     golden_base="$GOLDEN_DIR/smoke_$core"
     if ! "$DIFF_BIN" --exact "$golden_base.jsonl" "$base.jsonl"; then
@@ -170,8 +189,32 @@ verify() {
     fi
 }
 
+# sweep CORE BASE EXPECTED_SOURCE [flags...]: serve another fault
+# selection on a program the daemon has already prepared; require a
+# cache hit from EXPECTED_SOURCE and byte equality with a local
+# dfi-campaign run of the same flags (no golden baseline exists for
+# it).
+sweep() {
+    local core="$1" base="$2" expected_source="$3"
+    shift 3
+    request "$core" "$base" "$@"
+    check_source "$base" true "$expected_source"
+    "$CAMPAIGN_BIN" --core "$core" --benchmark micro \
+        --component int_regfile --injections 24 --seed 7 \
+        --telemetry-out "$base.local" "$@" > /dev/null \
+        2> "$base.local.log"
+    for ext in jsonl summary.json; do
+        if ! cmp -s "$base.local.$ext" "$base.$ext"; then
+            echo "served sweep drifted from the local run:" \
+                 "$base.$ext vs $base.local.$ext" >&2
+            status=1
+        fi
+    done
+}
+
 # ------------------------------------------------------------------
-# Leg 1: concurrent cold round, warm round, live-socket refusal.
+# Leg 1: concurrent cold round, warm round, memory-warm sweep,
+# live-socket refusal.
 # ------------------------------------------------------------------
 start_daemon server1.log
 
@@ -196,6 +239,10 @@ for core in "${CORES[@]}"; do
     request "$core" "$WORKDIR/warm_$core"
     verify "$core" "$WORKDIR/warm_$core" true memory byte
 done
+
+echo "== sweep: another structure and seed, memory-warm" >&2
+sweep marss-x86 "$WORKDIR/sweep_memory" memory \
+    --component l1d --seed 8
 
 echo "== live-socket refusal" >&2
 if timeout 30 "$SERVE_BIN" --socket "$SOCKET" \
@@ -259,15 +306,31 @@ done
 request marss-x86 "$WORKDIR/noprune_marss-x86" --no-prune
 verify marss-x86 "$WORKDIR/noprune_marss-x86" true disk diff
 
+# A sweep on a program only the previous daemon prepared adopts its
+# spill, and writes no spill of its own.
+echo "== sweep: another structure and seed, disk-warm" >&2
+sweep gem5-arm "$WORKDIR/sweep_disk" disk --component l1d --seed 9
+
 timeout 30 "$SERVE_BIN" --connect "$SOCKET" --stats >&2
 timeout 30 "$SERVE_BIN" --connect "$SOCKET" --shutdown > /dev/null
 await_daemon server3.log shutdown
 trap - EXIT
 
+shopt -s nullglob
+preps=("$CACHE_DIR"/prep_*.bin)
+shopt -u nullglob
+if [[ "${#preps[@]}" -ne 3 ]]; then
+    echo "expected one prep spill per program (3) in $CACHE_DIR" \
+         "after the sweeps, found ${#preps[@]}" >&2
+    status=1
+fi
+
 if [[ "$status" -ne 0 ]]; then
-    echo "FAIL: served campaigns drifted from $GOLDEN_DIR/ (see above)" >&2
+    echo "FAIL: served campaigns drifted from $GOLDEN_DIR/ or local" \
+         "runs, or came from the wrong cache tier (see above)" >&2
     exit "$status"
 fi
-echo "OK: 13 served smoke campaigns match $GOLDEN_DIR/ —" >&2
-echo "    concurrent cold round byte-equal, warm round from memory," >&2
-echo "    restart round from the disk cache (response + prep)." >&2
+echo "OK: 15 served campaigns — 13 smoke campaigns match $GOLDEN_DIR/" >&2
+echo "    (concurrent cold round byte-equal, warm round from memory," >&2
+echo "    restart round from the disk cache: response + prep), and 2" >&2
+echo "    sweeps, memory- and disk-warm, byte-equal to local runs." >&2

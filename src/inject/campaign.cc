@@ -1,6 +1,7 @@
 #include "inject/campaign.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <unordered_map>
@@ -122,12 +123,31 @@ CampaignConfig::cacheKey() const
     // The deterministic identity of a campaign is exactly its
     // telemetry config echo (every outcome-relevant field, no
     // execution-strategy knobs).  The checkpoint knobs are appended
-    // because the cached artifact includes the CheckpointStore,
-    // whose capture schedule they shape.  A format tag leads so a
-    // future key-derivation change re-keys every entry cleanly.
+    // because this key once named the prepared state too; they stay
+    // so response memos already on disk keep their names.  A format
+    // tag leads so a future key-derivation change re-keys every
+    // entry cleanly.
     hash::Fnv1a hasher;
     hasher.update(std::string_view("dfi-cache-key-v1"));
     hasher.update(telemetryConfigEcho(*this).dump());
+    hasher.update(static_cast<std::uint64_t>(useCheckpoints ? 1 : 0));
+    hasher.update(static_cast<std::uint64_t>(checkpointCount));
+    hasher.update(checkpointMemBudgetMB);
+    return hasher.hexDigest();
+}
+
+std::string
+CampaignConfig::prepKey() const
+{
+    // Exactly what prepare() reads, and nothing else: widening this
+    // set splits preparations that are in fact equal, narrowing it
+    // lets two programs alias one golden run.
+    hash::Fnv1a hasher;
+    hasher.update(std::string_view("dfi-prep-key-v1"));
+    hasher.update(benchmark);
+    hasher.update(static_cast<std::uint64_t>(scale));
+    hasher.update(coreName);
+    hasher.update(std::bit_cast<std::uint64_t>(cacheScale));
     hasher.update(static_cast<std::uint64_t>(useCheckpoints ? 1 : 0));
     hasher.update(static_cast<std::uint64_t>(checkpointCount));
     hasher.update(checkpointMemBudgetMB);
@@ -205,6 +225,8 @@ InjectionCampaign::prepare()
         fatal("invalid campaign config: %s: %s", errors[0].field,
               errors[0].message);
 
+    // Every field read from here on must be hashed by prepKey(): the
+    // service shares one preparation among all configs with that key.
     auto prep = std::make_shared<PreparedCampaign>();
     uarch::CoreConfig core_cfg =
         uarch::coreConfigByName(cfg_.coreName);

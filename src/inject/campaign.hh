@@ -205,17 +205,29 @@ struct CampaignConfig
     bool telemetryCapture = false;
 
     /**
-     * Content-address of this campaign for the service's warm
-     * artifact cache: a stable FNV-1a digest (16 hex digits) of
-     * every outcome-relevant field — exactly the telemetry config
-     * echo (program, core model, fault selection, seed, ...) — plus
-     * the checkpoint knobs, which shape the cached CheckpointStore.
-     * Pure execution/reporting knobs (jobs, telemetry paths, shard,
-     * resume, prune) are excluded: they never change the prepared
-     * artifacts.  Stable across processes and hosts; `configTweak`
-     * is not hashable and must be unset when keys are compared.
+     * Identity of this campaign's response, for the service's
+     * response memo (with `prune` folded in by the service): a
+     * stable FNV-1a digest (16 hex digits) of every outcome-relevant
+     * field — exactly the telemetry config echo (program, core
+     * model, fault selection, seed, ...) — plus the checkpoint
+     * knobs.  Pure execution/reporting knobs (jobs, telemetry paths,
+     * shard, resume, prune) are excluded.  It is not the key of the
+     * prepared state: that is prepKey(), which many campaigns share.
+     * Stable across processes and hosts; `configTweak` is not
+     * hashable and must be unset when keys are compared.
      */
     std::string cacheKey() const;
+
+    /**
+     * Identity of this campaign's prepared state (PreparedCampaign):
+     * a stable FNV-1a digest of exactly the fields prepare() reads —
+     * benchmark, scale, core model, cache scale and the checkpoint
+     * knobs.  Fault selection, sampling and seed are excluded, so
+     * every campaign on one program shares one key and one golden
+     * pass.  The service keys its memory LRU, single-flight map and
+     * disk spill by it.  Like cacheKey(), blind to `configTweak`.
+     */
+    std::string prepKey() const;
 
     /**
      * Check every field against its domain (known core/benchmark/
@@ -233,7 +245,7 @@ struct CampaignConfig
  * the checkpoint store captured during that same single pass.  They
  * are a pure function of (benchmark, scale, core model, cache scale,
  * checkpoint knobs) — none of the fault-selection fields — so any
- * number of campaigns whose CampaignConfig::cacheKey() matches may
+ * number of campaigns whose CampaignConfig::prepKey() matches may
  * share one instance: every consumer only ever copy-constructs
  * private cores from the const checkpoint snapshots, which is
  * already the executor's thread-safety contract.
@@ -258,9 +270,9 @@ struct PreparedCampaign
  * Serialize prepared artifacts for the service's disk cache
  * (common/serial.hh).  The stream carries only dynamic state; loading
  * reconstructs the snapshot cores from the config named by `cfg`, so
- * a stream is only meaningful under the cacheKey() that produced it —
+ * a stream is only meaningful under the prepKey() that produced it —
  * pairing stream and config is the caller's contract (the service
- * names spill files by cache key).
+ * names spill files by prepKey()).
  */
 void savePreparedCampaign(const PreparedCampaign &prep,
                           serial::Writer &writer);
@@ -362,7 +374,7 @@ class InjectionCampaign
     /**
      * The shared preparation artifacts (runs the golden pass on
      * first use).  The returned state is immutable and safe to share
-     * with other campaigns whose config cacheKey() matches.
+     * with other campaigns whose config prepKey() matches.
      */
     std::shared_ptr<const PreparedCampaign> prepared();
 
@@ -370,7 +382,7 @@ class InjectionCampaign
      * Adopt previously prepared artifacts instead of re-simulating
      * the golden pass (the service's warm-cache fast path).  Must be
      * called before the first golden()/run() call; the artifacts
-     * must come from a config with the same cacheKey() — that
+     * must come from a config with the same prepKey() — that
      * equivalence is the caller's contract.
      */
     void adoptPrepared(std::shared_ptr<const PreparedCampaign> prep);

@@ -626,10 +626,10 @@ CampaignService::publishFlight(
 std::string
 CampaignService::responseKey(const std::string &cacheKey, bool prune)
 {
-    // cacheKey() deliberately ignores knobs that cannot change the
-    // prepared artifacts; prune *does* change the response payload
-    // (header stats, per-record prune_class), so the memo key folds
-    // it back in.
+    // cacheKey() deliberately ignores execution-strategy knobs that
+    // cannot change outcomes; prune *does* change the response
+    // payload (header stats, per-record prune_class), so the memo
+    // key folds it back in.
     const std::string text = std::string("dfi-response-key-v1|") +
                              cacheKey +
                              (prune ? "|prune" : "|noprune");
@@ -813,7 +813,11 @@ CampaignService::execute(const ServiceRequest &request,
         return response;
     }
 
+    // Two identities: the response memo is keyed by the whole
+    // campaign, the prepared state (LRU, flight, spill) only by what
+    // prepare() reads, so every campaign on one program shares it.
     response.cacheKey = cfg.cacheKey();
+    const std::string prep_key = cfg.prepKey();
 
     // Response memoization: an exact repeat of a completed request
     // replays the recorded response without executing.  Timing-mode
@@ -845,24 +849,24 @@ CampaignService::execute(const ServiceRequest &request,
     bool leader = false;
     if (cache_enabled) {
         std::lock_guard<std::mutex> lock(mu_);
-        prep = lockedLruFind(response.cacheKey);
+        prep = lockedLruFind(prep_key);
         if (prep != nullptr) {
             ++stats_.hits;
             response.cacheSource = "memory";
-        } else if (const auto it = flights_.find(response.cacheKey);
+        } else if (const auto it = flights_.find(prep_key);
                    it != flights_.end()) {
             flight = it->second;
         } else {
             flight = std::make_shared<PrepFlight>();
-            flights_.emplace(response.cacheKey, flight);
+            flights_.emplace(prep_key, flight);
             leader = true;
             ++stats_.misses;
         }
     }
 
     if (flight != nullptr && !leader) {
-        // Another request is preparing this key right now; share its
-        // golden run instead of simulating a duplicate.
+        // Another request is preparing this program right now; share
+        // its golden run instead of simulating a duplicate.
         std::unique_lock<std::mutex> wait_lock(flight->mu);
         flight->cv.wait(wait_lock, [&] { return flight->done; });
         if (flight->prep == nullptr) {
@@ -891,8 +895,7 @@ CampaignService::execute(const ServiceRequest &request,
         InjectionCampaign campaign(cfg);
         if (prep == nullptr && leader && diskEnabled()) {
             bool io_error = false;
-            prep = loadPreparedFromDisk(cfg, response.cacheKey,
-                                        io_error);
+            prep = loadPreparedFromDisk(cfg, prep_key, io_error);
             noteDiskOutcome(!io_error);
             if (prep != nullptr) {
                 response.cacheSource = "disk";
@@ -908,8 +911,8 @@ CampaignService::execute(const ServiceRequest &request,
             if (prep == nullptr) {
                 prep = campaign.prepared();
                 if (diskEnabled()) {
-                    const bool stored = storePreparedToDisk(
-                        response.cacheKey, *prep);
+                    const bool stored =
+                        storePreparedToDisk(prep_key, *prep);
                     noteDiskOutcome(stored);
                     if (stored) {
                         std::lock_guard<std::mutex> lock(mu_);
@@ -917,8 +920,8 @@ CampaignService::execute(const ServiceRequest &request,
                     }
                 }
             }
-            cacheInsert(response.cacheKey, prep);
-            publishFlight(response.cacheKey, *flight, prep, "");
+            cacheInsert(prep_key, prep);
+            publishFlight(prep_key, *flight, prep, "");
             published = true;
         }
         const CampaignResult result = campaign.run(progress);
@@ -962,8 +965,7 @@ CampaignService::execute(const ServiceRequest &request,
     if (leader && !published) {
         // The leader failed before publishing; wake the followers
         // with the error instead of leaving them blocked forever.
-        publishFlight(response.cacheKey, *flight, nullptr,
-                      response.error);
+        publishFlight(prep_key, *flight, nullptr, response.error);
     }
     return response;
 }

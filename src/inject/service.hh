@@ -10,17 +10,21 @@
  * CampaignService amortizes that cost across requests the way a
  * simulator fleet amortizes it across users:
  *
- *  - requests are content-addressed by CampaignConfig::cacheKey();
- *    a repeat key adopts the cached PreparedCampaign (golden run +
- *    checkpoints) and skips prepare() entirely — the request goes
- *    straight to plan/execute;
+ *  - prepared state is content-addressed by
+ *    CampaignConfig::prepKey(), which hashes only what prepare()
+ *    reads: any request on an already-prepared program — whatever
+ *    its structure, fault model or seed — adopts the cached
+ *    PreparedCampaign (golden run + checkpoints) and skips prepare()
+ *    entirely, going straight to plan/execute.  The response memo
+ *    below is keyed by the whole campaign (cacheKey() plus prune);
  *  - cached preparations live in an LRU keyed by a byte budget
  *    (Options::cacheBudgetBytes), charged at
  *    PreparedCampaign::approxBytes(); cold entries evict first;
  *  - preparation is single-flight: when several racing requests miss
- *    on the same key, exactly one (the leader) runs prepare() and the
- *    rest block until the shared artifacts are published — the fleet
- *    never simulates the same golden run twice concurrently;
+ *    on the same prepKey(), exactly one (the leader) runs prepare()
+ *    and the rest block until the shared artifacts are published —
+ *    the fleet never simulates the same golden run twice
+ *    concurrently;
  *  - queued execution admits in FIFO order onto a bounded pool of
  *    Options::workers execution slots (each campaign may still use
  *    `jobs` threads internally), with a per-client in-flight quota
@@ -258,9 +262,9 @@ class CampaignService
     };
 
     /**
-     * One in-flight prepare() shared by every racing request for the
-     * same cache key.  The leader fills prep or error and flips done;
-     * followers block on cv.
+     * One in-flight prepare() shared by every racing request with the
+     * same prepKey(), whatever the rest of its config.  The leader
+     * fills prep or error and flips done; followers block on cv.
      */
     struct PrepFlight
     {
@@ -335,12 +339,12 @@ class CampaignService
     mutable std::mutex mu_;
     std::condition_variable cv_;
 
-    // Warm artifact cache, most-recently-used first.
+    // Warm artifact cache by prepKey(), most-recently-used first.
     std::list<CacheEntry> lru_;
     std::uint64_t cacheBytes_ = 0;
     CacheStats stats_;
 
-    // In-flight preparations by cache key (single-flight dedup).
+    // In-flight preparations by prepKey() (single-flight dedup).
     std::map<std::string, std::shared_ptr<PrepFlight>> flights_;
 
     // FIFO admission queue: waiting_ holds tickets in issue order;

@@ -58,110 +58,148 @@ TEST(CacheKey, PinnedDigestIsStableAcrossProcesses)
     EXPECT_EQ(smokeConfig().cacheKey(), "709a0fa662302086");
 }
 
+/**
+ * The prepared-state key names the `prep_` spill files on disk, so
+ * it is pinned for the same reason: a silent derivation change would
+ * orphan every spill.  Bump its own version tag in prepKey() instead.
+ */
+TEST(CacheKey, PinnedPrepKeyIsStableAcrossProcesses)
+{
+    EXPECT_EQ(smokeConfig().prepKey(), "b393f958ffa93d2a");
+}
+
 TEST(CacheKey, IgnoresExecutionStrategyAndTelemetryFields)
 {
     const std::string base = smokeConfig().cacheKey();
+    const std::string prep_base = smokeConfig().prepKey();
 
     CampaignConfig cfg = smokeConfig();
     cfg.jobs = 8;
     EXPECT_EQ(cfg.cacheKey(), base);
+    EXPECT_EQ(cfg.prepKey(), prep_base);
 
     cfg = smokeConfig();
     cfg.telemetryOut = "/tmp/somewhere";
     cfg.telemetryTiming = true;
     cfg.telemetryCapture = true;
     EXPECT_EQ(cfg.cacheKey(), base);
+    EXPECT_EQ(cfg.prepKey(), prep_base);
 
     cfg = smokeConfig();
     cfg.resumeFrom = "/tmp/prior.jsonl";
     EXPECT_EQ(cfg.cacheKey(), base);
+    EXPECT_EQ(cfg.prepKey(), prep_base);
 
     cfg = smokeConfig();
     cfg.shard.index = 1;
     cfg.shard.count = 4;
     EXPECT_EQ(cfg.cacheKey(), base);
+    EXPECT_EQ(cfg.prepKey(), prep_base);
 
     cfg = smokeConfig();
     cfg.prune = false;
     EXPECT_EQ(cfg.cacheKey(), base);
+    EXPECT_EQ(cfg.prepKey(), prep_base);
 }
 
+/**
+ * One table drives both keys.  Every row changes cacheKey(), the
+ * response's identity; only the rows marked as prepare inputs — the
+ * fields InjectionCampaign::prepare() reads — change prepKey(), so
+ * campaigns differing in any other row share one preparation.
+ */
 TEST(CacheKey, ChangesWhenAnyCampaignRelevantFieldChanges)
 {
+    struct Mutation
+    {
+        const char *name;
+        bool prepareInput;
+        void (*mutate)(CampaignConfig &);
+    };
+    const std::vector<Mutation> mutations = {
+        {"component", false,
+         [](CampaignConfig &c) { c.component = "l1d"; }},
+        {"benchmark", true,
+         [](CampaignConfig &c) { c.benchmark = "sha"; }},
+        {"scale", true, [](CampaignConfig &c) { c.scale = 2; }},
+        {"core", true,
+         [](CampaignConfig &c) { c.coreName = "gem5-arm"; }},
+        {"injections", false,
+         [](CampaignConfig &c) { c.numInjections = 25; }},
+        {"confidence", false,
+         [](CampaignConfig &c) {
+             c.numInjections = 0;
+             c.confidence = 0.95;
+         }},
+        {"margin", false,
+         [](CampaignConfig &c) {
+             c.numInjections = 0;
+             c.margin = 0.05;
+         }},
+        {"exhaustive", false,
+         [](CampaignConfig &c) {
+             c.numInjections = 0;
+             c.exhaustive = true;
+         }},
+        {"fault_type", false,
+         [](CampaignConfig &c) { c.faultType = FaultType::Permanent; }},
+        {"population", false,
+         [](CampaignConfig &c) {
+             c.population = Population::DoubleAdjacent;
+         }},
+        {"intermittent_min", false,
+         [](CampaignConfig &c) { c.intermittentMin = 51; }},
+        {"intermittent_max", false,
+         [](CampaignConfig &c) { c.intermittentMax = 501; }},
+        {"cache_scale", true,
+         [](CampaignConfig &c) { c.cacheScale = 0.125; }},
+        {"timeout_factor", false,
+         [](CampaignConfig &c) { c.timeoutFactor = 4.0; }},
+        {"early_stop_invalid_entry", false,
+         [](CampaignConfig &c) { c.earlyStopInvalidEntry = false; }},
+        {"early_stop_overwrite", false,
+         [](CampaignConfig &c) { c.earlyStopOverwrite = false; }},
+        {"seed", false, [](CampaignConfig &c) { c.seed = 8; }},
+        {"use_checkpoints", true,
+         [](CampaignConfig &c) { c.useCheckpoints = false; }},
+        {"checkpoint_count", true,
+         [](CampaignConfig &c) { c.checkpointCount = 7; }},
+        {"checkpoint_budget", true,
+         [](CampaignConfig &c) { c.checkpointMemBudgetMB = 128; }},
+    };
+
     const std::string base = smokeConfig().cacheKey();
-
-    const std::vector<
-        std::pair<const char *, void (*)(CampaignConfig &)>>
-        mutations = {
-            {"component",
-             [](CampaignConfig &c) { c.component = "l1d"; }},
-            {"benchmark",
-             [](CampaignConfig &c) { c.benchmark = "sha"; }},
-            {"scale", [](CampaignConfig &c) { c.scale = 2; }},
-            {"core",
-             [](CampaignConfig &c) { c.coreName = "gem5-arm"; }},
-            {"injections",
-             [](CampaignConfig &c) { c.numInjections = 25; }},
-            {"confidence",
-             [](CampaignConfig &c) {
-                 c.numInjections = 0;
-                 c.confidence = 0.95;
-             }},
-            {"margin",
-             [](CampaignConfig &c) {
-                 c.numInjections = 0;
-                 c.margin = 0.05;
-             }},
-            {"exhaustive",
-             [](CampaignConfig &c) {
-                 c.numInjections = 0;
-                 c.exhaustive = true;
-             }},
-            {"fault_type",
-             [](CampaignConfig &c) {
-                 c.faultType = FaultType::Permanent;
-             }},
-            {"population",
-             [](CampaignConfig &c) {
-                 c.population = Population::DoubleAdjacent;
-             }},
-            {"intermittent_min",
-             [](CampaignConfig &c) { c.intermittentMin = 51; }},
-            {"intermittent_max",
-             [](CampaignConfig &c) { c.intermittentMax = 501; }},
-            {"cache_scale",
-             [](CampaignConfig &c) { c.cacheScale = 0.125; }},
-            {"timeout_factor",
-             [](CampaignConfig &c) { c.timeoutFactor = 4.0; }},
-            {"early_stop_invalid_entry",
-             [](CampaignConfig &c) {
-                 c.earlyStopInvalidEntry = false;
-             }},
-            {"early_stop_overwrite",
-             [](CampaignConfig &c) { c.earlyStopOverwrite = false; }},
-            {"seed", [](CampaignConfig &c) { c.seed = 8; }},
-            {"use_checkpoints",
-             [](CampaignConfig &c) { c.useCheckpoints = false; }},
-            {"checkpoint_count",
-             [](CampaignConfig &c) { c.checkpointCount = 7; }},
-            {"checkpoint_budget",
-             [](CampaignConfig &c) {
-                 c.checkpointMemBudgetMB = 128;
-             }},
-        };
-
+    const std::string prep_base = smokeConfig().prepKey();
     std::vector<std::string> keys{base};
-    for (const auto &[name, mutate] : mutations) {
+    std::vector<std::string> prep_keys{prep_base};
+    std::size_t prepare_inputs = 0;
+    for (const Mutation &row : mutations) {
         CampaignConfig cfg = smokeConfig();
-        mutate(cfg);
+        row.mutate(cfg);
         const std::string key = cfg.cacheKey();
         EXPECT_NE(key, base) << "field did not affect the key: "
-                             << name;
+                             << row.name;
         for (const std::string &prior : keys)
             EXPECT_NE(key, prior)
-                << "key collision involving field: " << name;
+                << "key collision involving field: " << row.name;
         keys.push_back(key);
+
+        const std::string prep_key = cfg.prepKey();
+        if (!row.prepareInput) {
+            EXPECT_EQ(prep_key, prep_base)
+                << "prepare() does not read this field, but it "
+                   "split the prepared state: "
+                << row.name;
+            continue;
+        }
+        ++prepare_inputs;
+        for (const std::string &prior : prep_keys)
+            EXPECT_NE(prep_key, prior)
+                << "prepare input did not get its own prepKey: "
+                << row.name;
+        prep_keys.push_back(prep_key);
     }
+    EXPECT_EQ(prepare_inputs, 7u);
 }
 
 // ---------------------------------------------------------------
@@ -380,17 +418,23 @@ TEST(Service, LruEvictsColdestEntryWhenOverBudget)
 {
     // Size the budget from a first service so it holds exactly one
     // preparation; the entries for configs A and B are the same
-    // shape, so inserting B must evict A.
+    // shape, so inserting B must evict A.  B differs in a prepare
+    // input (the checkpoint budget, which micro never exhausts), so
+    // it needs a preparation of its own.
     ServiceRequest a;
     a.config = smokeConfig();
     a.config.numInjections = 8;
     ServiceRequest b = a;
-    b.config.seed = 8;
+    b.config.checkpointMemBudgetMB = 255;
+    ASSERT_NE(a.config.prepKey(), b.config.prepKey());
 
     CampaignService sizing({});
     ASSERT_TRUE(sizing.execute(a).ok);
     const std::uint64_t one_entry = sizing.cacheStats().bytes;
     ASSERT_GT(one_entry, 0u);
+    // The budget holds exactly one entry only if B costs what A does.
+    ASSERT_EQ(InjectionCampaign(b.config).prepared()->approxBytes(),
+              one_entry);
 
     CampaignService::Options options;
     options.cacheBudgetBytes = one_entry + 1;
@@ -403,6 +447,49 @@ TEST(Service, LruEvictsColdestEntryWhenOverBudget)
 
     EXPECT_TRUE(service.execute(b).cacheHit);  // b survived
     EXPECT_FALSE(service.execute(a).cacheHit); // a was evicted
+}
+
+/**
+ * A sweep — another structure or seed on a program the service has
+ * already prepared — adopts that preparation: one golden pass serves
+ * every fault selection, and each served artifact stays byte-equal to
+ * the same request prepared cold.
+ */
+TEST(Service, SweepsOfOneProgramShareOnePrepare)
+{
+    CampaignService service({});
+    CampaignService::Options cold_options;
+    cold_options.cacheBudgetBytes = 0;
+    CampaignService cold_service(cold_options);
+
+    bool first = true;
+    for (const char *component :
+         {"int_regfile", "l1d", "l1i", "l2", "lsq"}) {
+        for (const std::uint64_t seed : {7u, 8u}) {
+            ServiceRequest request;
+            request.config = smokeConfig();
+            request.config.numInjections = 8;
+            request.config.component = component;
+            request.config.seed = seed;
+            const ServiceResponse warm = service.execute(request);
+            const ServiceResponse cold = cold_service.execute(request);
+            ASSERT_TRUE(warm.ok) << warm.error;
+            ASSERT_TRUE(cold.ok) << cold.error;
+            EXPECT_EQ(warm.cacheSource, first ? "none" : "memory")
+                << component << " seed " << seed;
+            EXPECT_EQ(cold.cacheSource, "none");
+            EXPECT_EQ(warm.cacheKey, cold.cacheKey);
+            EXPECT_EQ(warm.telemetryRuns, cold.telemetryRuns)
+                << component << " seed " << seed;
+            EXPECT_EQ(warm.telemetrySummary, cold.telemetrySummary)
+                << component << " seed " << seed;
+            first = false;
+        }
+    }
+    const CampaignService::CacheStats stats = service.cacheStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 9u);
+    EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST(Service, ExecuteReportsInvalidConfigInsteadOfThrowing)
@@ -619,15 +706,17 @@ TEST(Service, ConcurrentDistinctKeysPrepareIndependently)
     options.workers = 4;
     CampaignService service(options);
 
+    // Three programs: the same smoke campaign on each core model.
+    const char *const cores[] = {"marss-x86", "gem5-x86", "gem5-arm"};
     std::vector<std::thread> threads;
     std::vector<ServiceResponse> responses(3);
     for (int i = 0; i < 3; ++i) {
-        threads.emplace_back([&service, &responses, i] {
+        threads.emplace_back([&service, &responses, &cores, i] {
             ServiceRequest mine;
             mine.client = "client-" + std::to_string(i);
             mine.config = smokeConfig();
             mine.config.numInjections = 8;
-            mine.config.seed = 100 + static_cast<std::uint64_t>(i);
+            mine.config.coreName = cores[i];
             responses[static_cast<std::size_t>(i)] =
                 service.executeQueued(mine);
         });
@@ -828,6 +917,61 @@ TEST(ServiceDisk, RestartServesResponseAndPreparedFromDisk)
     EXPECT_EQ(disk.cacheKey, cold.cacheKey);
     EXPECT_EQ(disk.counts.counts, cold.counts.counts);
     EXPECT_EQ(second.cacheStats().diskHits, 1u);
+
+    std::filesystem::remove_all(options.cacheDir);
+}
+
+/**
+ * The spill is named by what prepare() read, not by the request that
+ * wrote it: after a restart, a request on another structure with
+ * another seed adopts the spill of the first one.
+ */
+TEST(ServiceDisk, RestartServesAnotherStructureFromTheSpill)
+{
+    CampaignService::Options options;
+    options.cacheDir = freshCacheDir("dfi-service-structure-cache");
+
+    ServiceRequest regfile;
+    regfile.config = smokeConfig();
+    regfile.config.numInjections = 8;
+    {
+        CampaignService first(options);
+        const ServiceResponse spilled = first.execute(regfile);
+        ASSERT_TRUE(spilled.ok) << spilled.error;
+        EXPECT_EQ(first.cacheStats().diskStores, 1u);
+    }
+
+    ServiceRequest l1d = regfile;
+    l1d.config.component = "l1d";
+    l1d.config.seed = 9;
+    CampaignService second(options);
+    const ServiceResponse warm = second.execute(l1d);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(warm.cacheSource, "disk");
+    EXPECT_EQ(second.cacheStats().diskHits, 1u);
+    EXPECT_EQ(second.cacheStats().diskStores, 0u);
+
+    // One spill for the program, one memo per request.
+    std::size_t preps = 0;
+    std::size_t resps = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(options.cacheDir)) {
+        const std::string name = entry.path().filename().string();
+        preps += name.rfind("prep_", 0) == 0 ? 1 : 0;
+        resps += name.rfind("resp_", 0) == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(preps, 1u);
+    EXPECT_EQ(resps, 2u);
+
+    CampaignService::Options cold_options;
+    cold_options.cacheBudgetBytes = 0;
+    CampaignService cold_service(cold_options);
+    const ServiceResponse cold = cold_service.execute(l1d);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_EQ(cold.cacheSource, "none");
+    EXPECT_EQ(warm.telemetryRuns, cold.telemetryRuns);
+    EXPECT_EQ(warm.telemetrySummary, cold.telemetrySummary);
 
     std::filesystem::remove_all(options.cacheDir);
 }
@@ -1045,8 +1189,12 @@ TEST(ServiceChaos, SuccessResetsTheFailureStreak)
         failpoint::configure("cache.write=error@every:2", error));
 
     CampaignService service(options);
+    // Another program, so the second request spills a preparation of
+    // its own: two writes per request, alternating success and
+    // failure.
     ServiceRequest other = request;
     other.config.seed = 8;
+    other.config.coreName = "gem5-x86";
     ASSERT_TRUE(service.execute(request).ok);
     ASSERT_TRUE(service.execute(other).ok);
 
