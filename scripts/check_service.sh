@@ -3,6 +3,10 @@
 # concurrency, that one preparation serves every request on a program,
 # and that its caches survive a daemon restart.
 #
+# First, a flag bound: `--cache-budget 17592186044416` (2^44 MiB,
+# whose byte count overflows 64 bits) must exit 2 without creating a
+# socket, rather than start a daemon with caching silently off.
+#
 # Leg 1 — concurrent warm cache:
 #   Starts a dfi-serve daemon with --workers 4, submits the three
 #   golden smoke campaigns *concurrently* (cold round), then again
@@ -211,6 +215,16 @@ sweep() {
         fi
     done
 }
+
+echo "== --cache-budget overflow is refused" >&2
+rc=0
+timeout 30 "$SERVE_BIN" --socket "$WORKDIR/budget.sock" \
+    --cache-budget 17592186044416 2> "$WORKDIR/budget.log" || rc=$?
+if [[ "$rc" -ne 2 || -e "$WORKDIR/budget.sock" ]]; then
+    echo "--cache-budget 17592186044416: expected exit 2 and no" \
+         "socket, got exit $rc" >&2
+    status=1
+fi
 
 # ------------------------------------------------------------------
 # Leg 1: concurrent cold round, warm round, memory-warm sweep,

@@ -25,7 +25,13 @@ FlagSet::add(Flag flag)
     if (find(flag.name) != nullptr)
         panic("cli: flag '%s' registered twice", flag.name);
     flag.section = currentSection_;
-    flags_.push_back(std::move(flag));
+    // A reopened section keeps its flags together: append after its
+    // last flag, so usage() prints one group per section.
+    const auto last = std::find_if(
+        flags_.rbegin(), flags_.rend(),
+        [&flag](const Flag &f) { return f.section == flag.section; });
+    flags_.insert(last == flags_.rend() ? flags_.end() : last.base(),
+                  std::move(flag));
 }
 
 const FlagSet::Flag *

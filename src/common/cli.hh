@@ -2,14 +2,16 @@
  * @file
  * Declarative command-line flag parsing for the tool front ends.
  *
- * dfi-campaign, dfi-diff and dfi-merge all take GNU-style long flags
- * over a strict numeric grammar (common/parse_num.hh).  Before this
- * facade each tool hand-rolled its own argv loop, so the diagnostics
- * ("missing value for --x", "invalid value 'y' for --x") and the
- * --help layout drifted between them.  A FlagSet instead registers
- * every flag once — name, value placeholder, help text, destination —
- * and derives parsing, the usage text, and uniform diagnostics from
- * that single declaration.
+ * dfi-campaign, dfi-serve, dfi-diff and dfi-merge all take GNU-style
+ * long flags over a strict numeric grammar (common/parse_num.hh).
+ * Before this facade each tool hand-rolled its own argv loop, so the
+ * diagnostics ("missing value for --x", "invalid value 'y' for --x")
+ * and the --help layout drifted between them.  A FlagSet instead
+ * registers every flag once — name, value placeholder, help text,
+ * destination — and derives parsing, the usage text, and uniform
+ * diagnostics from that single declaration.  The campaign flags
+ * dfi-campaign and dfi-serve share are registered once, by
+ * inject::bindCampaignFlags (inject/campaign.hh).
  *
  * Grammar: a token starting with '-' is a flag; a flag either takes
  * no value or consumes the following token.  Anything else is a
@@ -45,6 +47,7 @@ enum class ParseResult
  * One tool's registered flags.  Registration order is presentation
  * order in the generated usage text; section() starts a titled group
  * (mirroring the hand-written help screens the tools had before).
+ * Reopening a section appends to it.
  */
 class FlagSet
 {

@@ -52,6 +52,11 @@
 #include "syskit/run_record.hh"
 #include "uarch/ooo_core.hh"
 
+namespace dfi::cli
+{
+class FlagSet;
+} // namespace dfi::cli
+
 namespace dfi::inject
 {
 
@@ -238,6 +243,14 @@ struct CampaignConfig
      */
     std::vector<ConfigError> validate() const;
 };
+
+/**
+ * Register the campaign flags dfi-campaign and dfi-serve share, each
+ * bound straight to its field of `cfg`, which must outlive `flags`.
+ * The `--jobs` help states `cfg.jobs` as the default, so set the
+ * tool's default first.  A tool may reopen a section afterwards.
+ */
+void bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg);
 
 /**
  * The immutable artifacts of a campaign's preparation pass: the

@@ -29,6 +29,20 @@ populationName(Population population)
           static_cast<int>(population));
 }
 
+bool
+populationFromName(const std::string &name, Population &out)
+{
+    for (const Population population :
+         {Population::SingleBit, Population::DoubleAdjacent,
+          Population::DoubleRandom, Population::MultiStructure}) {
+        if (populationName(population) == name) {
+            out = population;
+            return true;
+        }
+    }
+    return false;
+}
+
 namespace
 {
 

@@ -35,6 +35,9 @@ enum class Population : std::uint8_t
 /** Short lower-case population name used in logs and telemetry. */
 std::string populationName(Population population);
 
+/** Inverse of populationName(); false (out untouched) if unknown. */
+bool populationFromName(const std::string &name, Population &out);
+
 /** Mask-generation parameters. */
 struct MaskGenConfig
 {

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <new>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "inject/mask_gen.hh"
+#include "inject/telemetry.hh"
 #include "storage/fault.hh"
 
 namespace dfi::inject
@@ -22,34 +24,6 @@ namespace dfi::inject
 
 namespace
 {
-
-bool
-faultTypeFromName(const std::string &name, dfi::FaultType &out)
-{
-    for (const dfi::FaultType type :
-         {dfi::FaultType::Transient, dfi::FaultType::Intermittent,
-          dfi::FaultType::Permanent}) {
-        if (faultTypeName(type) == name) {
-            out = type;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-populationFromName(const std::string &name, Population &out)
-{
-    for (const Population population :
-         {Population::SingleBit, Population::DoubleAdjacent,
-          Population::DoubleRandom, Population::MultiStructure}) {
-        if (populationName(population) == name) {
-            out = population;
-            return true;
-        }
-    }
-    return false;
-}
 
 /** Typed member getters; false + error on a wrong JSON kind. */
 bool
@@ -61,6 +35,22 @@ getUint(const json::Value &v, const std::string &key,
         return false;
     }
     out = v.asUint();
+    return true;
+}
+
+/** getUint for a 32-bit field: a wider value is an error. */
+bool
+getUint32(const json::Value &v, const std::string &key,
+          std::uint32_t &out, std::string &error)
+{
+    std::uint64_t wide = 0;
+    if (!getUint(v, key, wide, error))
+        return false;
+    if (wide > std::numeric_limits<std::uint32_t>::max()) {
+        error = "config." + key + ": does not fit in 32 bits";
+        return false;
+    }
+    out = static_cast<std::uint32_t>(wide);
     return true;
 }
 
@@ -108,18 +98,13 @@ bool
 decodeConfigMember(const std::string &key, const json::Value &v,
                    CampaignConfig &cfg, std::string &error)
 {
-    std::uint64_t u = 0;
     std::string s;
     if (key == "component")
         return getString(v, key, cfg.component, error);
     if (key == "benchmark")
         return getString(v, key, cfg.benchmark, error);
-    if (key == "scale") {
-        if (!getUint(v, key, u, error))
-            return false;
-        cfg.scale = static_cast<std::uint32_t>(u);
-        return true;
-    }
+    if (key == "scale")
+        return getUint32(v, key, cfg.scale, error);
     if (key == "core")
         return getString(v, key, cfg.coreName, error);
     if (key == "injections")
@@ -166,57 +151,25 @@ decodeConfigMember(const std::string &key, const json::Value &v,
         return getUint(v, key, cfg.seed, error);
     if (key == "prune")
         return getBool(v, key, cfg.prune, error);
-    if (key == "jobs") {
-        if (!getUint(v, key, u, error))
-            return false;
-        cfg.jobs = static_cast<std::uint32_t>(u);
-        return true;
-    }
+    if (key == "jobs")
+        return getUint32(v, key, cfg.jobs, error);
     if (key == "telemetry_timing")
         return getBool(v, key, cfg.telemetryTiming, error);
     if (key == "use_checkpoints")
         return getBool(v, key, cfg.useCheckpoints, error);
-    if (key == "checkpoints") {
-        if (!getUint(v, key, u, error))
-            return false;
-        cfg.checkpointCount = static_cast<std::uint32_t>(u);
-        return true;
-    }
+    if (key == "checkpoints")
+        return getUint32(v, key, cfg.checkpointCount, error);
     if (key == "checkpoint_budget_mb")
         return getUint(v, key, cfg.checkpointMemBudgetMB, error);
     error = "config." + key + ": unknown key";
     return false;
 }
 
+/** The telemetry config echo plus the request-only execution knobs. */
 json::Value
 encodeConfig(const CampaignConfig &cfg)
 {
-    json::Value obj = json::Value::object();
-    obj.set("component", json::Value::string(cfg.component));
-    obj.set("benchmark", json::Value::string(cfg.benchmark));
-    obj.set("scale", json::Value::unsignedInt(cfg.scale));
-    obj.set("core", json::Value::string(cfg.coreName));
-    obj.set("injections",
-            json::Value::unsignedInt(cfg.numInjections));
-    obj.set("confidence", json::Value::number(cfg.confidence));
-    obj.set("margin", json::Value::number(cfg.margin));
-    obj.set("exhaustive", json::Value::boolean(cfg.exhaustive));
-    obj.set("fault_type",
-            json::Value::string(faultTypeName(cfg.faultType)));
-    obj.set("population",
-            json::Value::string(populationName(cfg.population)));
-    obj.set("intermittent_min",
-            json::Value::unsignedInt(cfg.intermittentMin));
-    obj.set("intermittent_max",
-            json::Value::unsignedInt(cfg.intermittentMax));
-    obj.set("cache_scale", json::Value::number(cfg.cacheScale));
-    obj.set("timeout_factor",
-            json::Value::number(cfg.timeoutFactor));
-    obj.set("early_stop_invalid_entry",
-            json::Value::boolean(cfg.earlyStopInvalidEntry));
-    obj.set("early_stop_overwrite",
-            json::Value::boolean(cfg.earlyStopOverwrite));
-    obj.set("seed", json::Value::unsignedInt(cfg.seed));
+    json::Value obj = telemetryConfigEcho(cfg);
     obj.set("prune", json::Value::boolean(cfg.prune));
     obj.set("jobs", json::Value::unsignedInt(cfg.jobs));
     obj.set("telemetry_timing",

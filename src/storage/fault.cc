@@ -21,6 +21,20 @@ faultTypeName(FaultType type)
     panic("faultTypeName: bad FaultType %s", static_cast<int>(type));
 }
 
+bool
+faultTypeFromName(const std::string &name, FaultType &out)
+{
+    for (const FaultType type : {FaultType::Transient,
+                                 FaultType::Intermittent,
+                                 FaultType::Permanent}) {
+        if (faultTypeName(type) == name) {
+            out = type;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::string
 FaultMask::toLine() const
 {
@@ -46,13 +60,7 @@ FaultMask::fromLine(const std::string &line)
         fatal("malformed fault mask line: '%s'", line);
     mask.core = static_cast<std::uint8_t>(core);
     mask.structure = structureFromName(structure);
-    if (type == "transient")
-        mask.type = FaultType::Transient;
-    else if (type == "intermittent")
-        mask.type = FaultType::Intermittent;
-    else if (type == "permanent")
-        mask.type = FaultType::Permanent;
-    else
+    if (!faultTypeFromName(type, mask.type))
         fatal("unknown fault type '%s' in mask line", type);
     mask.stuckValue = stuck != 0;
     return mask;

@@ -33,6 +33,9 @@ enum class FaultType : std::uint8_t
 /** Human-readable fault-type name. */
 std::string faultTypeName(FaultType type);
 
+/** Inverse of faultTypeName(); false (out untouched) if unknown. */
+bool faultTypeFromName(const std::string &name, FaultType &out);
+
 /** One elementary fault to apply during a run. */
 struct FaultMask
 {

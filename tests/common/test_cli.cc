@@ -181,4 +181,27 @@ TEST(Cli, UsageListsSectionsFlagsAndHelp)
     EXPECT_NE(usage.find("--verbose"), std::string::npos) << usage;
 }
 
+TEST(Cli, ReopenedSectionListsItsFlagsTogether)
+{
+    // How a tool appends its own flags to the sections that
+    // inject::bindCampaignFlags registered.
+    bool a = false, b = false, c = false;
+    FlagSet flags("tool", "[options]");
+    flags.section("execution");
+    flags.flag("--shared", "registered first", &a);
+    flags.section("output");
+    flags.flag("--timing", "a shared output flag", &b);
+    flags.section("execution");
+    flags.flag("--own", "the tool's own", &c);
+
+    EXPECT_EQ(flags.usage(), "usage: tool [options]\n"
+                             "\n"
+                             "execution:\n"
+                             "  --shared  registered first\n"
+                             "  --own     the tool's own\n"
+                             "\n"
+                             "output:\n"
+                             "  --timing  a shared output flag\n");
+}
+
 } // namespace

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "gemsim/gefin.hh"
 #include "inject/campaign.hh"
@@ -392,6 +393,7 @@ TEST(CampaignConfigValidate, ReportsEveryViolationWithItsField)
     cfg.scale = 0;
     cfg.shard = ShardSpec{3, 2};
     cfg.resumeFrom = "partial.jsonl"; // without telemetryOut
+    cfg.checkpointMemBudgetMB = (1ull << 44) + 1; // bytes wrap
 
     const std::vector<ConfigError> errors = cfg.validate();
     std::vector<std::string> fields;
@@ -402,7 +404,7 @@ TEST(CampaignConfigValidate, ReportsEveryViolationWithItsField)
     for (const char *field :
          {"core", "component", "benchmark", "confidence", "margin",
           "cache_scale", "timeout_factor", "scale", "shard",
-          "resume"}) {
+          "resume", "checkpoint_budget_mb"}) {
         EXPECT_NE(std::find(fields.begin(), fields.end(), field),
                   fields.end())
             << "no error for field " << field;
@@ -429,6 +431,120 @@ TEST(CampaignConfigValidate, CampaignRefusesInvalidConfig)
     CampaignConfig cfg = microConfig("marss-x86", "int_regfile");
     cfg.component = "flux_capacitor";
     EXPECT_THROW(InjectionCampaign(cfg).golden(), dfi::FatalError);
+}
+
+// ---------------------------------------------------------------
+// bindCampaignFlags(): the flags dfi-campaign and dfi-serve share
+// ---------------------------------------------------------------
+
+/** Parse `tokens` with only the shared campaign flags registered. */
+cli::ParseResult
+parseCampaignFlags(std::vector<std::string> tokens, CampaignConfig &cfg,
+                   std::string &error)
+{
+    cli::FlagSet flags("tool", "[options]");
+    bindCampaignFlags(flags, cfg);
+    std::vector<char *> argv;
+    std::string name = "tool";
+    argv.push_back(name.data());
+    for (std::string &token : tokens)
+        argv.push_back(token.data());
+    return flags.parse(static_cast<int>(argv.size()), argv.data(),
+                       error);
+}
+
+TEST(CampaignFlags, BindEverySharedFlagIntoTheConfig)
+{
+    CampaignConfig cfg;
+    std::string error;
+    ASSERT_EQ(parseCampaignFlags(
+                  {"--core", "gem5-arm", "--benchmark", "qsort",
+                   "--component", "rob", "--scale", "3",
+                   "--injections", "99", "--confidence", "0.95",
+                   "--margin", "0.05", "--fault-type", "intermittent",
+                   "--population", "double-random", "--seed", "1234",
+                   "--exhaustive", "--no-prune", "--jobs", "4",
+                   "--timeout-factor", "5", "--cache-scale", "0.5",
+                   "--no-early-stop", "--no-checkpoints",
+                   "--checkpoints", "9", "--checkpoint-budget", "64",
+                   "--telemetry-timing"},
+                  cfg, error),
+              cli::ParseResult::Ok)
+        << error;
+    EXPECT_EQ(cfg.coreName, "gem5-arm");
+    EXPECT_EQ(cfg.benchmark, "qsort");
+    EXPECT_EQ(cfg.component, "rob");
+    EXPECT_EQ(cfg.scale, 3u);
+    EXPECT_EQ(cfg.numInjections, 99u);
+    EXPECT_EQ(cfg.confidence, 0.95);
+    EXPECT_EQ(cfg.margin, 0.05);
+    EXPECT_EQ(cfg.faultType, FaultType::Intermittent);
+    EXPECT_EQ(cfg.population, Population::DoubleRandom);
+    EXPECT_EQ(cfg.seed, 1234u);
+    EXPECT_TRUE(cfg.exhaustive);
+    EXPECT_FALSE(cfg.prune);
+    EXPECT_EQ(cfg.jobs, 4u);
+    EXPECT_EQ(cfg.timeoutFactor, 5.0);
+    EXPECT_EQ(cfg.cacheScale, 0.5);
+    EXPECT_FALSE(cfg.earlyStopInvalidEntry);
+    EXPECT_FALSE(cfg.earlyStopOverwrite);
+    EXPECT_FALSE(cfg.useCheckpoints);
+    EXPECT_EQ(cfg.checkpointCount, 9u);
+    EXPECT_EQ(cfg.checkpointMemBudgetMB, 64u);
+    EXPECT_TRUE(cfg.telemetryTiming);
+
+    // The tool-only fields stay for the tool to bind.
+    const CampaignConfig defaults;
+    EXPECT_EQ(cfg.intermittentMin, defaults.intermittentMin);
+    EXPECT_EQ(cfg.intermittentMax, defaults.intermittentMax);
+    EXPECT_EQ(cfg.shard.count, 1u);
+    EXPECT_TRUE(cfg.resumeFrom.empty());
+    EXPECT_TRUE(cfg.telemetryOut.empty());
+
+    // Exactly the twenty flags above, and --jobs states the default
+    // of the config it was bound to.
+    cfg.jobs = 7;
+    cli::FlagSet flags("tool", "[options]");
+    bindCampaignFlags(flags, cfg);
+    const std::string usage = flags.usage();
+    std::size_t registered = 0;
+    for (std::size_t at = usage.find("\n  --");
+         at != std::string::npos; at = usage.find("\n  --", at + 1))
+        ++registered;
+    EXPECT_EQ(registered, 20u) << usage;
+    EXPECT_NE(usage.find("(default 7;"), std::string::npos) << usage;
+}
+
+TEST(CampaignFlags, BadValuesNameTheFlagAndTheDomain)
+{
+    CampaignConfig cfg;
+    std::string error;
+    EXPECT_EQ(parseCampaignFlags({"--fault-type", "x"}, cfg, error),
+              cli::ParseResult::Error);
+    EXPECT_EQ(error, "invalid value 'x' for --fault-type (expected "
+                     "transient | intermittent | permanent)");
+    EXPECT_EQ(parseCampaignFlags({"--population", "x"}, cfg, error),
+              cli::ParseResult::Error);
+    EXPECT_EQ(error, "invalid value 'x' for --population (expected "
+                     "single | double-adjacent | double-random | "
+                     "multi-structure)");
+    EXPECT_EQ(cfg.faultType, FaultType::Transient);
+    EXPECT_EQ(cfg.population, Population::SingleBit);
+
+    // 32-bit fields refuse a 33-bit value instead of truncating it.
+    for (const char *flag : {"--scale", "--checkpoints", "--jobs"}) {
+        EXPECT_EQ(parseCampaignFlags({flag, "4294967296"}, cfg, error),
+                  cli::ParseResult::Error)
+            << flag;
+        EXPECT_EQ(error, std::string("invalid value '4294967296' for ") +
+                             flag + " (expected an unsigned integer)");
+    }
+    EXPECT_EQ(cfg.scale, 1u);
+    EXPECT_EQ(cfg.checkpointCount, 6u);
+    EXPECT_EQ(parseCampaignFlags({"--scale", "4294967295"}, cfg, error),
+              cli::ParseResult::Ok)
+        << error;
+    EXPECT_EQ(cfg.scale, 4294967295u);
 }
 
 } // namespace

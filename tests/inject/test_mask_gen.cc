@@ -191,4 +191,23 @@ TEST_F(MaskGenTest, ComponentBitsMatchesGeometry)
     EXPECT_EQ(componentBits("lsq", *core_), 32u * 32u);
 }
 
+TEST(Population, NamesRoundTrip)
+{
+    for (const Population population :
+         {Population::SingleBit, Population::DoubleAdjacent,
+          Population::DoubleRandom, Population::MultiStructure}) {
+        Population decoded = population == Population::SingleBit
+                                 ? Population::MultiStructure
+                                 : Population::SingleBit;
+        EXPECT_TRUE(
+            populationFromName(populationName(population), decoded));
+        EXPECT_EQ(decoded, population);
+    }
+    for (const char *bad : {"", "Single", "double", "multi_structure"}) {
+        Population out = Population::DoubleRandom;
+        EXPECT_FALSE(populationFromName(bad, out)) << bad;
+        EXPECT_EQ(out, Population::DoubleRandom) << bad;
+    }
+}
+
 } // namespace

@@ -312,6 +312,58 @@ TEST(ServiceProtocol, DecodeRejectsNegativeIntegersWithoutAborting)
     EXPECT_NE(error.find("unsigned"), std::string::npos);
 }
 
+TEST(ServiceProtocol, DecodeRejectsValuesThatDoNotFitTheField)
+{
+    // scale, jobs and checkpoints are 32-bit fields: a wider value is
+    // an error naming the key, never a silent truncation (2^32 + 1
+    // would become scale 1, 2^32 jobs 0 = every hardware thread).
+    for (const char *key : {"scale", "jobs", "checkpoints"}) {
+        const std::string prefix =
+            std::string("{\"kind\":\"dfi-request\",\"op\":\"campaign\","
+                        "\"config\":{\"") +
+            key + "\":";
+        json::Value line;
+        std::string error;
+        ServiceRequest out;
+        ASSERT_TRUE(json::parse(prefix + "4294967296}}", line, error));
+        EXPECT_FALSE(decodeServiceRequest(line, out, error)) << key;
+        EXPECT_NE(error.find(std::string("config.") + key),
+                  std::string::npos)
+            << error;
+
+        ASSERT_TRUE(json::parse(prefix + "4294967295}}", line, error));
+        EXPECT_TRUE(decodeServiceRequest(line, out, error)) << error;
+    }
+}
+
+/**
+ * The request line is the wire format old clients and daemons speak:
+ * its config object is the telemetry config echo followed by the six
+ * execution members.  Pinned byte for byte so a change to either half
+ * shows up here, not as a silent protocol break.
+ */
+TEST(ServiceProtocol, RequestLineBytesArePinned)
+{
+    ServiceRequest request;
+    request.op = "campaign";
+    request.client = "ci";
+    request.config = smokeConfig();
+    EXPECT_EQ(
+        encodeServiceRequest(request).dump(),
+        "{\"kind\":\"dfi-request\",\"op\":\"campaign\",\"client\":"
+        "\"ci\",\"config\":{\"component\":\"int_regfile\","
+        "\"benchmark\":\"micro\",\"scale\":1,\"core\":\"marss-x86\","
+        "\"injections\":24,\"confidence\":0.99,\"margin\":0.03,"
+        "\"exhaustive\":false,\"fault_type\":\"transient\","
+        "\"population\":\"single\",\"intermittent_min\":50,"
+        "\"intermittent_max\":500,\"cache_scale\":0.0625,"
+        "\"timeout_factor\":3,\"early_stop_invalid_entry\":true,"
+        "\"early_stop_overwrite\":true,\"seed\":7,\"prune\":true,"
+        "\"jobs\":1,\"telemetry_timing\":false,"
+        "\"use_checkpoints\":true,\"checkpoints\":6,"
+        "\"checkpoint_budget_mb\":256}}");
+}
+
 TEST(ServiceProtocol, ResponseRoundTripPreservesArtifacts)
 {
     ServiceResponse response;

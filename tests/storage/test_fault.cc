@@ -78,6 +78,25 @@ TEST(FaultType, Names)
     EXPECT_EQ(dfi::faultTypeName(FaultType::Intermittent),
               "intermittent");
     EXPECT_EQ(dfi::faultTypeName(FaultType::Permanent), "permanent");
+
+    // faultTypeFromName() is the inverse every front end decodes
+    // through: each name round-trips, and anything else (wrong case
+    // included) is refused without touching the output.
+    for (const FaultType type : {FaultType::Transient,
+                                 FaultType::Intermittent,
+                                 FaultType::Permanent}) {
+        FaultType decoded = type == FaultType::Transient
+                                ? FaultType::Permanent
+                                : FaultType::Transient;
+        EXPECT_TRUE(
+            dfi::faultTypeFromName(dfi::faultTypeName(type), decoded));
+        EXPECT_EQ(decoded, type);
+    }
+    for (const char *bad : {"", "Transient", "PERMANENT", "stuck"}) {
+        FaultType out = FaultType::Intermittent;
+        EXPECT_FALSE(dfi::faultTypeFromName(bad, out)) << bad;
+        EXPECT_EQ(out, FaultType::Intermittent) << bad;
+    }
 }
 
 } // namespace

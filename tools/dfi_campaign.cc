@@ -70,43 +70,6 @@ listTargets()
         std::printf("  %s\n", name.c_str());
 }
 
-bool
-decodeFaultType(const std::string &text, FaultType &out,
-                std::string &error)
-{
-    if (text == "transient")
-        out = FaultType::Transient;
-    else if (text == "intermittent")
-        out = FaultType::Intermittent;
-    else if (text == "permanent")
-        out = FaultType::Permanent;
-    else {
-        error = "expected transient | intermittent | permanent";
-        return false;
-    }
-    return true;
-}
-
-bool
-decodePopulation(const std::string &text, Population &out,
-                 std::string &error)
-{
-    if (text == "single")
-        out = Population::SingleBit;
-    else if (text == "double-adjacent")
-        out = Population::DoubleAdjacent;
-    else if (text == "double-random")
-        out = Population::DoubleRandom;
-    else if (text == "multi-structure")
-        out = Population::MultiStructure;
-    else {
-        error = "expected single | double-adjacent | double-random | "
-                "multi-structure";
-        return false;
-    }
-    return true;
-}
-
 /** Decode `I/N` (e.g. `0/4`) into a ShardSpec. */
 bool
 decodeShard(const std::string &text, ShardSpec &out,
@@ -137,75 +100,22 @@ int
 main(int argc, char **argv)
 {
     CampaignConfig cfg;
-    cfg.numInjections = 0;
     cfg.jobs = 0; // batch front end: all hardware threads by default
     ParserConfig parser_cfg;
     std::string save_masks;
     bool verbose = false;
     bool list = false;
     bool dry_run = false;
-    std::uint64_t scale = cfg.scale;
-    std::uint64_t checkpoint_count = cfg.checkpointCount;
 
     cli::FlagSet flags("dfi-campaign", "[options]");
-    flags.section("campaign selection");
-    flags.text("--core", "NAME", "marss-x86 | gem5-x86 | gem5-arm",
-               &cfg.coreName);
-    flags.text("--benchmark", "NAME",
-               "one of the ten workloads (or 'micro')",
-               &cfg.benchmark);
-    flags.text("--component", "NAME", "injection target (see --list)",
-               &cfg.component);
-    flags.uint64("--scale", "N", "workload input scale (default 1)",
-                 &scale, std::numeric_limits<std::uint32_t>::max());
-
-    flags.section("fault selection");
-    flags.uint64("--injections", "N",
-                 "number of runs (default: derive from\n"
-                 "--confidence/--margin)",
-                 &cfg.numInjections);
-    flags.number("--confidence", "P",
-                 "sampling confidence (default 0.99)",
-                 &cfg.confidence);
-    flags.number("--margin", "E",
-                 "sampling error margin (default 0.03)", &cfg.margin);
-    flags.custom("--fault-type", "T",
-                 "transient | intermittent | permanent",
-                 [&cfg](const std::string &text, std::string &error) {
-                     return decodeFaultType(text, cfg.faultType,
-                                            error);
-                 });
-    flags.custom("--population", "P",
-                 "single | double-adjacent |\n"
-                 "double-random | multi-structure",
-                 [&cfg](const std::string &text, std::string &error) {
-                     return decodePopulation(text, cfg.population,
-                                             error);
-                 });
-    flags.uint64("--seed", "N", "campaign seed", &cfg.seed);
-    flags.flag("--exhaustive",
-               "enumerate every bit x cycle site of the\n"
-               "component instead of sampling (single-bit\n"
-               "transients only; small structures)",
-               &cfg.exhaustive);
+    bindCampaignFlags(flags, cfg);
 
     flags.section("execution");
-    flags.flag("--no-prune",
-               "disable planning-time classification and\n"
-               "fault-equivalence pruning; simulate every\n"
-               "run (the classification is identical\n"
-               "either way)",
-               [&cfg] { cfg.prune = false; });
     flags.flag("--dry-run",
                "resolve and print the plan (runs, pruned\n"
                "counts, estimated simulated cycles), then\n"
                "exit without simulating",
                &dry_run);
-    flags.uint32("--jobs", "N",
-                 "worker threads (default: hardware\n"
-                 "concurrency; results are bit-identical\n"
-                 "for every N)",
-                 &cfg.jobs);
     flags.custom("--shard", "I/N",
                  "execute shard I of N (runs with\n"
                  "runId mod N == I); merge the shards'\n"
@@ -219,27 +129,6 @@ main(int argc, char **argv)
                "dropped) and execute only the rest;\n"
                "requires --telemetry-out",
                &cfg.resumeFrom);
-    flags.number("--timeout-factor", "F",
-                 "run bound vs golden cycles (default 3)",
-                 &cfg.timeoutFactor);
-    flags.number("--cache-scale", "F",
-                 "cache capacity scale (default 0.0625)",
-                 &cfg.cacheScale);
-    flags.flag("--no-early-stop",
-               "disable both early-stop optimizations", [&cfg] {
-                   cfg.earlyStopInvalidEntry = false;
-                   cfg.earlyStopOverwrite = false;
-               });
-    flags.flag("--no-checkpoints", "always start runs from reset",
-               [&cfg] { cfg.useCheckpoints = false; });
-    flags.uint64("--checkpoints", "N",
-                 "target live checkpoint count\n(default 6)",
-                 &checkpoint_count,
-                 std::numeric_limits<std::uint32_t>::max());
-    flags.uint64("--checkpoint-budget", "MB",
-                 "checkpoint memory budget in MiB\n"
-                 "(default 256; 0 = unlimited)",
-                 &cfg.checkpointMemBudgetMB);
 
     flags.section("output");
     flags.text("--telemetry-out", "BASE",
@@ -247,11 +136,6 @@ main(int argc, char **argv)
                "and BASE.summary.json; byte-identical\n"
                "for every --jobs value",
                &cfg.telemetryOut);
-    flags.flag("--telemetry-timing",
-               "record real wall-clock micros and the\n"
-               "job count in the telemetry (marks the\n"
-               "volatile fields; off by default)",
-               &cfg.telemetryTiming);
     flags.text("--save-masks", "FILE",
                "write the generated masks repository", &save_masks);
     flags.flag("--crash-as-assert",
@@ -280,8 +164,6 @@ main(int argc, char **argv)
         listTargets();
         return 0;
     }
-    cfg.scale = static_cast<std::uint32_t>(scale);
-    cfg.checkpointCount = static_cast<std::uint32_t>(checkpoint_count);
 
     // One structured validation pass; every defect is reported, not
     // just the first.

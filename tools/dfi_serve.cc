@@ -13,8 +13,9 @@
  * new ones, then exit).  A socket path already served by a live
  * daemon is refused, never hijacked.
  *
- * Client mode (`--connect`) submits one request and exits: campaign
- * flags mirror dfi-campaign, progress streams to stderr, and
+ * Client mode (`--connect`) submits one request and exits: the
+ * campaign flags are dfi-campaign's own, registered by
+ * inject::bindCampaignFlags, progress streams to stderr, and
  * `--telemetry-out BASE` writes the returned artifacts to
  * BASE.jsonl/BASE.summary.json — byte-identical to what a local
  * `dfi-campaign --telemetry-out` run would produce, which is what
@@ -194,10 +195,11 @@ class ConnectionTracker
     void
     leave()
     {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --active_;
-        }
+        // Notify under the lock: once waitIdle() can see zero, the
+        // waiter may return and destroy this tracker, so the notify
+        // must not trail the unlock.
+        std::lock_guard<std::mutex> lock(mu_);
+        --active_;
         cv_.notify_all();
     }
 
@@ -683,43 +685,6 @@ clientMain(const std::string &socket_path,
     }
 }
 
-bool
-decodeFaultType(const std::string &text, FaultType &out,
-                std::string &error)
-{
-    if (text == "transient")
-        out = FaultType::Transient;
-    else if (text == "intermittent")
-        out = FaultType::Intermittent;
-    else if (text == "permanent")
-        out = FaultType::Permanent;
-    else {
-        error = "expected transient | intermittent | permanent";
-        return false;
-    }
-    return true;
-}
-
-bool
-decodePopulation(const std::string &text, Population &out,
-                 std::string &error)
-{
-    if (text == "single")
-        out = Population::SingleBit;
-    else if (text == "double-adjacent")
-        out = Population::DoubleAdjacent;
-    else if (text == "double-random")
-        out = Population::DoubleRandom;
-    else if (text == "multi-structure")
-        out = Population::MultiStructure;
-    else {
-        error = "expected single | double-adjacent | double-random | "
-                "multi-structure";
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -730,18 +695,13 @@ main(int argc, char **argv)
     std::string telemetry_out;
     bool op_ping = false, op_stats = false, op_shutdown = false;
     std::uint64_t cache_budget_mb = 1024;
-    std::uint64_t quota = 2, queue = 64, workers = 1;
-    std::string cache_dir;
+    CampaignService::Options options;
     std::uint64_t idle_timeout_ms = 30000;
     std::uint64_t stream_timeout_ms = 10000;
     std::uint64_t sndbuf_bytes = 0;
     std::string failpoints_spec;
     RetryPolicy retry;
-
     ServiceRequest request;
-    CampaignConfig &cfg = request.config;
-    std::uint64_t scale = cfg.scale;
-    std::uint64_t checkpoint_count = cfg.checkpointCount;
 
     cli::FlagSet flags("dfi-serve", "--socket PATH | --connect PATH "
                                     "[options]");
@@ -750,25 +710,26 @@ main(int argc, char **argv)
                "listen on this unix-domain socket\n"
                "(a stale socket file is replaced)",
                &socket_path);
+    // The MiB count is bounded so its byte count (<< 20) fits.
     flags.uint64("--cache-budget", "MB",
                  "warm artifact cache LRU budget in MiB\n"
                  "(default 1024; 0 disables caching)",
-                 &cache_budget_mb);
-    flags.uint64("--quota", "N",
+                 &cache_budget_mb,
+                 std::numeric_limits<std::uint64_t>::max() >> 20);
+    flags.uint32("--quota", "N",
                  "in-flight requests per client\n(default 2)",
-                 &quota, std::numeric_limits<std::uint32_t>::max());
-    flags.uint64("--queue", "N",
+                 &options.perClientInFlight);
+    flags.uint32("--queue", "N",
                  "admitted requests across all clients\n"
                  "(default 64)",
-                 &queue, std::numeric_limits<std::uint32_t>::max());
-    flags.uint64("--workers", "N",
+                 &options.queueCapacity);
+    flags.uint32("--workers", "N",
                  "campaigns executing simultaneously\n(default 1)",
-                 &workers,
-                 std::numeric_limits<std::uint32_t>::max());
+                 &options.workers);
     flags.text("--cache-dir", "DIR",
                "persist prepared state and memoized\n"
                "responses here across restarts",
-               &cache_dir);
+               &options.cacheDir);
     flags.uint64("--idle-timeout-ms", "MS",
                  "drop a connection that sends no\n"
                  "request within MS (default 30000;\n"
@@ -825,76 +786,7 @@ main(int argc, char **argv)
                "DFI_FAILPOINTS environment variable)",
                &failpoints_spec);
 
-    flags.section("campaign request (mirrors dfi-campaign)");
-    flags.text("--core", "NAME", "marss-x86 | gem5-x86 | gem5-arm",
-               &cfg.coreName);
-    flags.text("--benchmark", "NAME",
-               "one of the ten workloads (or 'micro')",
-               &cfg.benchmark);
-    flags.text("--component", "NAME", "injection target",
-               &cfg.component);
-    flags.uint64("--scale", "N", "workload input scale (default 1)",
-                 &scale, std::numeric_limits<std::uint32_t>::max());
-    flags.uint64("--injections", "N",
-                 "number of runs (default: derive from\n"
-                 "--confidence/--margin)",
-                 &cfg.numInjections);
-    flags.number("--confidence", "P",
-                 "sampling confidence (default 0.99)",
-                 &cfg.confidence);
-    flags.number("--margin", "E",
-                 "sampling error margin (default 0.03)", &cfg.margin);
-    flags.custom("--fault-type", "T",
-                 "transient | intermittent | permanent",
-                 [&cfg](const std::string &text, std::string &error) {
-                     return decodeFaultType(text, cfg.faultType,
-                                            error);
-                 });
-    flags.custom("--population", "P",
-                 "single | double-adjacent |\n"
-                 "double-random | multi-structure",
-                 [&cfg](const std::string &text, std::string &error) {
-                     return decodePopulation(text, cfg.population,
-                                             error);
-                 });
-    flags.uint64("--seed", "N", "campaign seed", &cfg.seed);
-    flags.flag("--exhaustive",
-               "enumerate every bit x cycle site of\nthe component",
-               &cfg.exhaustive);
-    flags.flag("--no-prune",
-               "disable planning-time classification\n"
-               "and fault-equivalence pruning",
-               [&cfg] { cfg.prune = false; });
-    flags.uint32("--jobs", "N",
-                 "worker threads for the served campaign\n"
-                 "(default 1; results are bit-identical\n"
-                 "for every N)",
-                 &cfg.jobs);
-    flags.number("--timeout-factor", "F",
-                 "run bound vs golden cycles (default 3)",
-                 &cfg.timeoutFactor);
-    flags.number("--cache-scale", "F",
-                 "cache capacity scale (default 0.0625)",
-                 &cfg.cacheScale);
-    flags.flag("--no-early-stop",
-               "disable both early-stop optimizations", [&cfg] {
-                   cfg.earlyStopInvalidEntry = false;
-                   cfg.earlyStopOverwrite = false;
-               });
-    flags.flag("--no-checkpoints", "always start runs from reset",
-               [&cfg] { cfg.useCheckpoints = false; });
-    flags.uint64("--checkpoints", "N",
-                 "target live checkpoint count\n(default 6)",
-                 &checkpoint_count,
-                 std::numeric_limits<std::uint32_t>::max());
-    flags.uint64("--checkpoint-budget", "MB",
-                 "checkpoint memory budget in MiB\n"
-                 "(default 256; 0 = unlimited)",
-                 &cfg.checkpointMemBudgetMB);
-    flags.flag("--telemetry-timing",
-               "record wall-clock micros and the job\n"
-               "count in the telemetry",
-               &cfg.telemetryTiming);
+    bindCampaignFlags(flags, request.config);
 
     std::string parse_error;
     switch (flags.parse(argc, argv, parse_error)) {
@@ -909,9 +801,7 @@ main(int argc, char **argv)
       case cli::ParseResult::Ok:
         break;
     }
-    cfg.scale = static_cast<std::uint32_t>(scale);
-    cfg.checkpointCount = static_cast<std::uint32_t>(checkpoint_count);
-    retry.seed = cfg.seed;
+    retry.seed = request.config.seed;
 
     // Arm the failpoint registry before any instrumented code runs.
     // The explicit flag wins over the environment so a chaos harness
@@ -936,14 +826,9 @@ main(int argc, char **argv)
             "required");
 
     if (!socket_path.empty()) {
-        if (workers == 0)
+        if (options.workers == 0)
             die("--workers must be at least 1");
-        CampaignService::Options options;
         options.cacheBudgetBytes = cache_budget_mb << 20;
-        options.perClientInFlight = static_cast<std::uint32_t>(quota);
-        options.queueCapacity = static_cast<std::uint32_t>(queue);
-        options.workers = static_cast<std::uint32_t>(workers);
-        options.cacheDir = cache_dir;
         const auto pollMs = [](std::uint64_t ms) {
             if (ms == 0)
                 return -1;
