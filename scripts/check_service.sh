@@ -28,22 +28,25 @@
 #      `cache_source: memory` (prepared state is keyed by what
 #      prepare() reads, not by structure or seed) and to be
 #      byte-equal to a local dfi-campaign run of the same flags;
-#   5. the daemon to drain and exit 0 on a shutdown request.
+#   5. `--stats` to report `trace_builds` and `trace_bytes` above 0:
+#      the pruned requests built golden traces on the cached
+#      preparations, and their bytes are charged to the cache;
+#   6. the daemon to drain and exit 0 on a shutdown request.
 #
 # Leg 2 — restart persistence:
 #   Starts a daemon with --cache-dir, runs the campaigns, SIGTERMs
 #   it, restarts it over the same directory, and requires:
 #
-#   6. the first daemon to drain and exit 0 on SIGTERM, leaving
+#   7. the first daemon to drain and exit 0 on SIGTERM, leaving
 #      prep_*.bin and resp_*.json spill files behind;
-#   7. exact repeat requests against the restarted daemon to replay
+#   8. exact repeat requests against the restarted daemon to replay
 #      the memoized response (`cache_source: response`) byte-equal
 #      to the golden baselines;
-#   8. a --no-prune variation to adopt the prepared state from disk
+#   9. a --no-prune variation to adopt the prepared state from disk
 #      (`cache_source: disk`) and stay `dfi-diff --exact`-equal to
 #      the golden baseline (pruned and unpruned artifacts differ in
 #      bytes but never in outcomes);
-#   9. a sweep — `--component l1d --seed 9` on gem5-arm — to adopt
+#  10. a sweep — `--component l1d --seed 9` on gem5-arm — to adopt
 #      the spill the first daemon wrote (`cache_source: disk`), to be
 #      byte-equal to a local dfi-campaign run, and to leave exactly
 #      3 prep_*.bin files: one spill per program, not per request.
@@ -270,7 +273,18 @@ if ! grep -q "live daemon" "$WORKDIR/hijack.log"; then
     status=1
 fi
 
-timeout 30 "$SERVE_BIN" --connect "$SOCKET" --stats >&2
+timeout 30 "$SERVE_BIN" --connect "$SOCKET" --stats \
+    > "$WORKDIR/stats1.json"
+cat "$WORKDIR/stats1.json" >&2
+for counter in trace_builds trace_bytes; do
+    value=$(grep -o "\"$counter\": [0-9]*" "$WORKDIR/stats1.json" |
+        awk '{print $2}')
+    if [[ -z "$value" || "$value" -eq 0 ]]; then
+        echo "expected $counter > 0 in --stats after the sweep," \
+             "got '${value:-missing}'" >&2
+        status=1
+    fi
+done
 timeout 30 "$SERVE_BIN" --connect "$SOCKET" --shutdown > /dev/null
 await_daemon server1.log shutdown
 

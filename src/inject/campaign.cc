@@ -251,6 +251,63 @@ bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg)
                &cfg.telemetryTiming);
 }
 
+std::shared_ptr<const GoldenTrace>
+PreparedCampaign::trace(const std::string &component) const
+{
+    std::unique_lock<std::mutex> lock(traces_.mu);
+    TraceSlot &slot = traces_.slots[component];
+    traces_.cv.wait(lock, [&slot] { return !slot.building; });
+    if (slot.trace != nullptr)
+        return slot.trace;
+    slot.building = true;
+    lock.unlock();
+
+    GoldenTrace built;
+    try {
+        // A copy of the base (cycle-0) snapshot is a reset core with
+        // the golden pass's exact configuration.
+        uarch::OooCore probe = checkpoints.sourceFor(0);
+        built = traceGoldenRun(probe, golden,
+                               resolveComponent(component, probe));
+    } catch (...) {
+        lock.lock();
+        slot.building = false;
+        traces_.cv.notify_all();
+        throw;
+    }
+
+    lock.lock();
+    // One golden run, one committed-instructions table: later traces
+    // share the first one's.
+    if (traces_.committedAfter == nullptr) {
+        traces_.committedAfter = built.committedAfter;
+        traces_.bytes +=
+            traces_.committedAfter->size() * sizeof(std::uint32_t);
+    } else {
+        built.committedAfter = traces_.committedAfter;
+    }
+    slot.trace = std::make_shared<const GoldenTrace>(std::move(built));
+    slot.building = false;
+    ++traces_.builds;
+    traces_.bytes += slot.trace->structureBytes();
+    traces_.cv.notify_all();
+    return slot.trace;
+}
+
+std::uint64_t
+PreparedCampaign::traceBuilds() const
+{
+    std::lock_guard<std::mutex> lock(traces_.mu);
+    return traces_.builds;
+}
+
+std::uint64_t
+PreparedCampaign::traceBytes() const
+{
+    std::lock_guard<std::mutex> lock(traces_.mu);
+    return traces_.bytes;
+}
+
 std::uint64_t
 PreparedCampaign::approxBytes() const
 {
@@ -258,7 +315,7 @@ PreparedCampaign::approxBytes() const
     bytes += image.code.size() + image.data.size();
     bytes += expectedOutput.size() + golden.output.size();
     bytes += checkpoints.count() * checkpoints.snapshotBoundBytes();
-    return bytes;
+    return bytes + traceBytes();
 }
 
 void
@@ -549,17 +606,27 @@ InjectionCampaign::runTask(const RunTask &task) const
     return result;
 }
 
-InjectionCampaign::PlanSummary
-InjectionCampaign::planSummary()
+CampaignPlan
+InjectionCampaign::makePlan() const
 {
-    prepare();
-
+    // The probe core supplies the structure geometries; classification
+    // reads the component's golden trace, which the prepared state
+    // builds once and every later campaign on it reuses.
     uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg_.coreName);
     uarch::scaleCaches(core_cfg, cfg_.cacheScale);
     if (cfg_.configTweak)
         cfg_.configTweak(core_cfg);
     uarch::OooCore probe(core_cfg, prep_->image);
-    CampaignPlan plan = planCampaign(cfg_, prep_->golden, probe);
+    const std::shared_ptr<const GoldenTrace> trace =
+        planPrunes(cfg_) ? prep_->trace(cfg_.component) : nullptr;
+    return planCampaign(cfg_, prep_->golden, probe, trace.get());
+}
+
+InjectionCampaign::PlanSummary
+InjectionCampaign::planSummary()
+{
+    prepare();
+    CampaignPlan plan = makePlan();
 
     PlanSummary summary;
     summary.totalRuns = plan.totalRuns();
@@ -583,15 +650,8 @@ InjectionCampaign::run(const Progress &progress)
     prepare();
 
     // Plan: resolve sampling size and the mask repository, then run
-    // the classification pipeline (the probe core supplies the
-    // structure geometries and, when pruning is on, is ticked through
-    // one instrumented golden re-run).
-    uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg_.coreName);
-    uarch::scaleCaches(core_cfg, cfg_.cacheScale);
-    if (cfg_.configTweak)
-        cfg_.configTweak(core_cfg);
-    uarch::OooCore probe(core_cfg, prep_->image);
-    CampaignPlan plan = planCampaign(cfg_, prep_->golden, probe);
+    // the classification pipeline.
+    CampaignPlan plan = makePlan();
     const std::uint64_t total_runs = plan.totalRuns();
 
     // Shard first, then subtract resumed runs: `--resume` within a

@@ -35,9 +35,12 @@
 #ifndef DFI_INJECT_CAMPAIGN_HH
 #define DFI_INJECT_CAMPAIGN_HH
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -262,6 +265,10 @@ void bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg);
  * share one instance: every consumer only ever copy-constructs
  * private cores from the const checkpoint snapshots, which is
  * already the executor's thread-safety contract.
+ *
+ * The golden traces that classification reads (inject/prune.hh) are
+ * a pure function of the same state, so the prepared state memoizes
+ * them by component (trace()) and stays a shareable value.
  */
 struct PreparedCampaign
 {
@@ -271,12 +278,53 @@ struct PreparedCampaign
     CheckpointStore checkpoints;
 
     /**
+     * The golden trace of `component`, built on first use from a copy
+     * of the base checkpoint — a reset core with the golden pass's
+     * exact CoreConfig, configTweak included.  Single-flight per
+     * component: concurrent callers for one component wait for one
+     * build, other components build in parallel, and a failed build
+     * (fatal, bad_alloc) leaves the slot empty for the next caller.
+     * The traces of one prepared state share one committed-
+     * instructions table.  Traces are never serialized: a loaded
+     * state rebuilds them on demand.
+     */
+    std::shared_ptr<const GoldenTrace>
+    trace(const std::string &component) const;
+
+    /** Traces built so far (failed builds not counted). */
+    std::uint64_t traceBuilds() const;
+
+    /** Bytes held by the traces built so far. */
+    std::uint64_t traceBytes() const;
+
+    /**
      * Conservative resident-footprint bound in bytes (the service's
-     * LRU budget accounting).  Snapshots are charged at the
-     * per-snapshot bound even though COW sharing usually keeps the
-     * true footprint lower.
+     * LRU budget accounting), traces included.  Snapshots are charged
+     * at the per-snapshot bound even though COW sharing usually keeps
+     * the true footprint lower.  Takes the trace memo's lock, so a
+     * caller may hold its own lock around it as long as no trace
+     * build ever waits on that lock.
      */
     std::uint64_t approxBytes() const;
+
+  private:
+    struct TraceSlot
+    {
+        bool building = false;
+        std::shared_ptr<const GoldenTrace> trace;
+    };
+    /** The trace memo: mutable cache state beside the immutable
+     *  artifacts, guarded by `mu`. */
+    struct TraceMemo
+    {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::map<std::string, TraceSlot> slots;
+        std::shared_ptr<const std::vector<std::uint32_t>> committedAfter;
+        std::uint64_t builds = 0;
+        std::uint64_t bytes = 0;
+    };
+    mutable TraceMemo traces_;
 };
 
 /**
@@ -368,6 +416,7 @@ struct CampaignResult
     ClassCounts classify(const Parser &parser) const;
 };
 
+class CampaignPlan;
 struct RunTask;
 struct TaskResult;
 
@@ -451,6 +500,9 @@ class InjectionCampaign
 
   private:
     void prepare();
+
+    /** Resolve the full (unsharded) plan; requires prepare(). */
+    CampaignPlan makePlan() const;
 
     CampaignConfig cfg_;
     std::shared_ptr<const PreparedCampaign> prep_; //!< set by prepare()

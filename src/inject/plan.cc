@@ -266,7 +266,8 @@ planPrunes(const CampaignConfig &config)
 
 CampaignPlan
 planCampaign(const CampaignConfig &config,
-             const syskit::RunRecord &golden, uarch::OooCore &probe)
+             const syskit::RunRecord &golden, uarch::OooCore &probe,
+             const GoldenTrace *trace)
 {
     // Stage 1: enumerate.  Sampled campaigns derive the run count
     // from the statistical parameters and draw random masks;
@@ -299,8 +300,7 @@ planCampaign(const CampaignConfig &config,
     CampaignPlan plan(config, golden, std::move(masks), runs);
 
     // Stages 2-4: classify, dedupe, prune — when the config admits
-    // it.  The probe has not ticked yet (mask generation only reads
-    // geometry), so it doubles as the trace core.
+    // it.
     if (planPrunes(config) && runs > 0) {
         const std::vector<dfi::FaultMask> &all = plan.masks();
         if (all.size() != runs)
@@ -314,7 +314,16 @@ planCampaign(const CampaignConfig &config,
             sites[i] = FaultSite{i, mask.structure, mask.entry,
                                  mask.bit, mask.cycle};
         }
-        plan.applyPruning(classifySites(probe, golden, sites));
+        // Without a cached trace, build one: the probe has not ticked
+        // yet (mask generation only reads geometry), so it doubles as
+        // the trace core.
+        GoldenTrace built;
+        if (trace == nullptr) {
+            built = traceGoldenRun(
+                probe, golden, resolveComponent(config.component, probe));
+            trace = &built;
+        }
+        plan.applyPruning(classifySites(*trace, golden, sites));
     }
     return plan;
 }

@@ -10,7 +10,7 @@
  *     repository (or, with `CampaignConfig::exhaustive`, enumerate
  *     every bit x cycle site of the component);
  *  2. classify — statically decide each single-bit transient site
- *     from one instrumented golden re-run (inject/prune.hh): dead
+ *     from the component's golden trace (inject/prune.hh): dead
  *     entries and dead-until-overwrite bits are provably Masked,
  *     never-read bits provably reproduce the golden record;
  *  3. dedupe — collapse sites that provably converge to identical
@@ -224,13 +224,16 @@ class CampaignPlan
 /**
  * Resolve a configuration into a plan by running the pipeline
  * described above.  The `probe` core supplies the component
- * geometries and — when the classification stages are enabled — is
- * ticked through one instrumented golden re-run, so it must be
- * freshly constructed from the campaign's image and configuration.
+ * geometries.  The classification stages read `trace`, the golden
+ * trace of the config's component; when it is null and the stages are
+ * enabled, the probe is ticked through one instrumented golden run to
+ * build it, so the probe must be freshly constructed from the
+ * campaign's image and configuration.
  */
 CampaignPlan planCampaign(const CampaignConfig &config,
                           const syskit::RunRecord &golden,
-                          uarch::OooCore &probe);
+                          uarch::OooCore &probe,
+                          const GoldenTrace *trace = nullptr);
 
 /**
  * True when the configuration admits static classification and

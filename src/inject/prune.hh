@@ -23,11 +23,17 @@
  *      -> the fault is architecturally visible and must be simulated.
  *
  * Sites that must be simulated dedupe further: two sites of the same
- * bit whose first covering read is the *same* trace event produce
+ * bit whose first covering read is the *same* trace access produce
  * byte-identical runs (the flip is invisible until that read, and
  * execution is deterministic after it), so they form an equivalence
- * class keyed by (structure, entry, bit, first-read event) and only
+ * class keyed by (structure, entry, bit, first-read access) and only
  * the lowest-runId representative is simulated.
+ *
+ * The trace is a value: it records every access of every entry of a
+ * component's structures, so one trace classifies any site set of
+ * that component, and a prepared program keeps one per component
+ * (PreparedCampaign::trace).  Classification is then a pure function
+ * of the trace and the sites.
  *
  * The contract — enforced by tests and the CI prune-equivalence leg —
  * is that a pruned campaign's classification artifacts are
@@ -38,6 +44,7 @@
 #define DFI_INJECT_PRUNE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "storage/structure_id.hh"
@@ -101,19 +108,88 @@ struct SiteClassification
     std::uint64_t pruneClass = 0;
 };
 
+/** One watch-visible access of a traced entry, packed into 8 bytes. */
+struct TraceAccess
+{
+    std::uint32_t cycle = 0;      //!< the tick it happened in
+    std::uint16_t bitLo = 0;      //!< first bit covered
+    std::uint16_t widthWrite = 0; //!< width << 1 | is_write
+
+    std::uint32_t width() const { return widthWrite >> 1; }
+    bool isWrite() const { return (widthWrite & 1) != 0; }
+};
+
 /**
- * Classify every site from one instrumented golden re-run of `probe`.
+ * One structure's share of a golden trace.  Entry e's accesses are
+ * `accesses[accessBegin[e] .. accessBegin[e + 1])`, in program order;
+ * its liveness changes are laid out the same way.
+ */
+struct StructureTrace
+{
+    dfi::StructureId structure = dfi::StructureId::IntRegFile;
+    std::vector<std::uint32_t> accessBegin; //!< numEntries + 1 offsets
+    std::vector<TraceAccess> accesses;
+
+    /** entryLive() of each entry before tick 1. */
+    std::vector<bool> liveAtStart;
+    std::vector<std::uint32_t> changeBegin; //!< numEntries + 1 offsets
+    /**
+     * Per entry, ascending: every check cycle c at which entryLive()
+     * — read after tick c-1 and before tick c, where early-stop rule
+     * (i) reads it — differs from its value at check cycle c-1.
+     */
+    std::vector<std::uint32_t> changes;
+
+    /** entryLive(structure, entry) as rule (i) sees it at `cycle`. */
+    bool liveAt(std::uint32_t entry, std::uint64_t cycle) const;
+};
+
+/**
+ * Everything the classifier needs from one instrumented golden run of
+ * a component.  Immutable once built; any number of threads may
+ * classify from it.
+ */
+struct GoldenTrace
+{
+    std::vector<StructureTrace> structures;
+    std::uint64_t terminalCycle = 0; //!< the tick that ended the run
+    /**
+     * Instructions committed after each tick; index 0 is the reset
+     * state.  The same for every component of one program, so the
+     * traces of one prepared state share one table.
+     */
+    std::shared_ptr<const std::vector<std::uint32_t>> committedAfter;
+
+    /** The trace of `id`, or nullptr when it was not traced. */
+    const StructureTrace *find(dfi::StructureId id) const;
+
+    /** Bytes held by the per-structure tables (committedAfter not
+     *  included: its owner charges it once). */
+    std::uint64_t structureBytes() const;
+};
+
+/**
+ * Tick `probe` through one instrumented golden run and record the
+ * trace of `structures`.
  *
- * `probe` must be a freshly-constructed core of the campaign's exact
- * configuration and image (cycle 0, nothing ticked); the function
- * ticks it to completion with access observers attached and fatal()s
- * if the traced run does not reproduce `golden`.  Sites must be
- * single-bit transients with injection cycles in [1, golden.cycles].
+ * `probe` must be a core of the campaign's exact configuration and
+ * image at cycle 0 (freshly constructed, or a copy of the base
+ * checkpoint).  fatal()s if the traced run does not reproduce
+ * `golden`.
+ */
+GoldenTrace traceGoldenRun(uarch::OooCore &probe,
+                           const syskit::RunRecord &golden,
+                           const std::vector<dfi::StructureId> &structures);
+
+/**
+ * Classify every site from a golden trace that covers the sites'
+ * structures.  Sites must be single-bit transients with injection
+ * cycles in [1, golden.cycles].
  *
  * The returned vector is indexed like `sites`.
  */
 std::vector<SiteClassification>
-classifySites(uarch::OooCore &probe, const syskit::RunRecord &golden,
+classifySites(const GoldenTrace &trace, const syskit::RunRecord &golden,
               const std::vector<FaultSite> &sites);
 
 } // namespace dfi::inject

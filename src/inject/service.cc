@@ -540,6 +540,7 @@ CampaignService::cacheInsert(
     CacheEntry entry;
     entry.key = key;
     entry.bytes = prep->approxBytes();
+    entry.traceBytes = prep->traceBytes();
     entry.prep = std::move(prep);
 
     // An entry larger than the whole budget would evict everything
@@ -548,6 +549,39 @@ CampaignService::cacheInsert(
         return;
     cacheBytes_ += entry.bytes;
     lru_.push_front(std::move(entry));
+    lockedEvictOverBudget();
+}
+
+void
+CampaignService::cacheRecharge(
+    const std::shared_ptr<const PreparedCampaign> &prep)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it =
+        std::find_if(lru_.begin(), lru_.end(),
+                     [&prep](const CacheEntry &entry) {
+                         return entry.prep == prep;
+                     });
+    if (it == lru_.end())
+        return; // never cached, or evicted meanwhile
+    const std::uint64_t builds = prep->traceBuilds();
+    stats_.traceBuilds += builds - it->traceBuilds;
+    it->traceBuilds = builds;
+    it->traceBytes = prep->traceBytes();
+    cacheBytes_ -= it->bytes;
+    it->bytes = prep->approxBytes();
+    if (it->bytes > opts_.cacheBudgetBytes) {
+        lru_.erase(it);
+        ++stats_.evictions;
+    } else {
+        cacheBytes_ += it->bytes;
+    }
+    lockedEvictOverBudget();
+}
+
+void
+CampaignService::lockedEvictOverBudget()
+{
     while (cacheBytes_ > opts_.cacheBudgetBytes && lru_.size() > 1) {
         cacheBytes_ -= lru_.back().bytes;
         lru_.pop_back();
@@ -920,6 +954,10 @@ CampaignService::execute(const ServiceRequest &request,
         // with the error instead of leaving them blocked forever.
         publishFlight(prep_key, *flight, nullptr, response.error);
     }
+    // The request may have built a golden trace on the shared
+    // preparation; charge it to the budget.
+    if (prep != nullptr && cache_enabled)
+        cacheRecharge(prep);
     return response;
 }
 
@@ -1007,10 +1045,18 @@ CampaignService::CacheStats
 CampaignService::cacheStats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    return lockedCacheStats();
+}
+
+CampaignService::CacheStats
+CampaignService::lockedCacheStats() const
+{
     CacheStats stats = stats_;
     stats.entries = lru_.size();
     stats.bytes = cacheBytes_;
     stats.diskDisabled = diskDisabled_;
+    for (const CacheEntry &entry : lru_)
+        stats.traceBytes += entry.traceBytes;
     return stats;
 }
 
@@ -1018,29 +1064,26 @@ json::Value
 CampaignService::statsJson() const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    const CacheStats stats = lockedCacheStats();
     json::Value cache = json::Value::object();
-    cache.set("hits", json::Value::unsignedInt(stats_.hits));
-    cache.set("misses", json::Value::unsignedInt(stats_.misses));
-    cache.set("evictions",
-              json::Value::unsignedInt(stats_.evictions));
-    cache.set("entries", json::Value::unsignedInt(lru_.size()));
-    cache.set("bytes", json::Value::unsignedInt(cacheBytes_));
+    cache.set("hits", json::Value::unsignedInt(stats.hits));
+    cache.set("misses", json::Value::unsignedInt(stats.misses));
+    cache.set("evictions", json::Value::unsignedInt(stats.evictions));
+    cache.set("entries", json::Value::unsignedInt(stats.entries));
+    cache.set("bytes", json::Value::unsignedInt(stats.bytes));
     cache.set("budget_bytes",
               json::Value::unsignedInt(opts_.cacheBudgetBytes));
-    cache.set("coalesced",
-              json::Value::unsignedInt(stats_.coalesced));
-    cache.set("disk_hits",
-              json::Value::unsignedInt(stats_.diskHits));
-    cache.set("disk_stores",
-              json::Value::unsignedInt(stats_.diskStores));
+    cache.set("coalesced", json::Value::unsignedInt(stats.coalesced));
+    cache.set("disk_hits", json::Value::unsignedInt(stats.diskHits));
+    cache.set("disk_stores", json::Value::unsignedInt(stats.diskStores));
     cache.set("response_hits",
-              json::Value::unsignedInt(stats_.responseHits));
+              json::Value::unsignedInt(stats.responseHits));
     cache.set("response_stores",
-              json::Value::unsignedInt(stats_.responseStores));
-    cache.set("disk_errors",
-              json::Value::unsignedInt(stats_.diskErrors));
-    cache.set("disk_disabled",
-              json::Value::boolean(diskDisabled_));
+              json::Value::unsignedInt(stats.responseStores));
+    cache.set("disk_errors", json::Value::unsignedInt(stats.diskErrors));
+    cache.set("disk_disabled", json::Value::boolean(stats.diskDisabled));
+    cache.set("trace_builds", json::Value::unsignedInt(stats.traceBuilds));
+    cache.set("trace_bytes", json::Value::unsignedInt(stats.traceBytes));
     json::Value queue = json::Value::object();
     queue.set("active", json::Value::unsignedInt(active_));
     queue.set("running", json::Value::unsignedInt(running_));
@@ -1051,10 +1094,10 @@ CampaignService::statsJson() const
               json::Value::unsignedInt(opts_.queueCapacity));
     queue.set("per_client_quota",
               json::Value::unsignedInt(opts_.perClientInFlight));
-    json::Value stats = json::Value::object();
-    stats.set("cache", std::move(cache));
-    stats.set("queue", std::move(queue));
-    return stats;
+    json::Value stats_json = json::Value::object();
+    stats_json.set("cache", std::move(cache));
+    stats_json.set("queue", std::move(queue));
+    return stats_json;
 }
 
 } // namespace dfi::inject

@@ -19,7 +19,11 @@
  *    below is keyed by the whole campaign (cacheKey() plus prune);
  *  - cached preparations live in an LRU keyed by a byte budget
  *    (Options::cacheBudgetBytes), charged at
- *    PreparedCampaign::approxBytes(); cold entries evict first;
+ *    PreparedCampaign::approxBytes(); cold entries evict first.  A
+ *    prepared state's golden traces (one per component, built by the
+ *    first pruned request that needs it) live and die with it: each
+ *    executed request re-charges its entry, so the traces count
+ *    against the budget, and they are never spilled to disk;
  *  - preparation is single-flight: when several racing requests miss
  *    on the same prepKey(), exactly one (the leader) runs prepare()
  *    and the rest block until the shared artifacts are published —
@@ -216,6 +220,12 @@ class CampaignService
 
         /** True once the disk tier degraded itself off. */
         bool diskDisabled = false;
+
+        /** Golden traces built by cached prepared states. */
+        std::uint64_t traceBuilds = 0;
+
+        /** Bytes of golden traces charged to the cached entries. */
+        std::uint64_t traceBytes = 0;
     };
 
     using Progress =
@@ -259,6 +269,8 @@ class CampaignService
         std::string key;
         std::shared_ptr<const PreparedCampaign> prep;
         std::uint64_t bytes = 0;
+        std::uint64_t traceBytes = 0;  //!< share of bytes
+        std::uint64_t traceBuilds = 0; //!< already in stats_
     };
 
     /**
@@ -282,6 +294,20 @@ class CampaignService
     /** Insert and evict LRU entries beyond the byte budget. */
     void cacheInsert(const std::string &key,
                      std::shared_ptr<const PreparedCampaign> prep);
+
+    /**
+     * Re-charge `prep`'s entry (if still cached) at its current
+     * approxBytes() — it grows as requests build golden traces — and
+     * evict beyond the byte budget the way cacheInsert() does.
+     */
+    void
+    cacheRecharge(const std::shared_ptr<const PreparedCampaign> &prep);
+
+    /** Evict LRU entries beyond the byte budget.  Caller holds mu_. */
+    void lockedEvictOverBudget();
+
+    /** cacheStats() for a caller that holds mu_. */
+    CacheStats lockedCacheStats() const;
 
     /**
      * Resolve a flight (success or error) and wake its followers.

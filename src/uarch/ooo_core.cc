@@ -136,6 +136,7 @@ OooCore::allocPhys()
     if (reg >= cfg_.numPhysInt)
         throw SimCrashError("rename: free-list entry out of range");
     physFree_[reg] = false;
+    noteLive(dfi::StructureId::IntRegFile, reg);
     physReady_[reg] = false;
     return reg;
 }
@@ -152,6 +153,7 @@ OooCore::freePhys(std::uint16_t reg)
     check(!physFree_[reg], CheckSeverity::Soft,
           "free: double-free of physical register");
     physFree_[reg] = true;
+    noteLive(dfi::StructureId::IntRegFile, reg);
     physReady_[reg] = true;
     freeList_.push_back(reg);
 }
@@ -239,13 +241,18 @@ OooCore::flushFrom(std::uint64_t first_bad_seq, std::uint32_t new_pc)
             renameMap_[uop.archDst] = uop.oldPhys;
             freePhys(uop.physDst);
         }
-        if (uop.iqSlot >= 0 && uop.stage == Uop::Stage::InIq)
+        if (uop.iqSlot >= 0 && uop.stage == Uop::Stage::InIq) {
             iqBusy_[uop.iqSlot] = false;
+            noteLive(dfi::StructureId::IssueQueue, uop.iqSlot);
+        }
         if (uop.lsqSlot >= 0) {
-            if (cfg_.unifiedLsq || uop.isLoad)
+            if (cfg_.unifiedLsq || uop.isLoad) {
                 lqBusy_[uop.lsqSlot] = false;
-            else
+                noteLive(loadQueueId(), uop.lsqSlot);
+            } else {
                 sqBusy_[uop.lsqSlot] = false;
+                noteLive(dfi::StructureId::StoreQueue, uop.lsqSlot);
+            }
         }
         uop.valid = false;
         --robCount_;
@@ -567,6 +574,7 @@ OooCore::renameStage()
         if (needs_iq) {
             uop.iqSlot = iq_slot;
             iqBusy_[iq_slot] = true;
+            noteLive(dfi::StructureId::IssueQueue, iq_slot);
             // Pack the payload into the injectable IQ array.
             std::uint64_t payload = 0;
             payload |= static_cast<std::uint64_t>(
@@ -590,10 +598,13 @@ OooCore::renameStage()
 
         if (lsq_slot >= 0) {
             uop.lsqSlot = lsq_slot;
-            if (cfg_.unifiedLsq || is_load)
+            if (cfg_.unifiedLsq || is_load) {
                 lqBusy_[lsq_slot] = true;
-            else
+                noteLive(loadQueueId(), lsq_slot);
+            } else {
                 sqBusy_[lsq_slot] = true;
+                noteLive(dfi::StructureId::StoreQueue, lsq_slot);
+            }
         }
 
         ++robCount_;
@@ -623,6 +634,7 @@ OooCore::issueStage()
               "issue: IQ payload ROB index out of range");
         if (rob_slot >= cfg_.robEntries) {
             iqBusy_[s] = false;
+            noteLive(dfi::StructureId::IssueQueue, s);
             continue;
         }
         Uop &uop = rob_[rob_slot];
@@ -631,6 +643,7 @@ OooCore::issueStage()
             check(false, CheckSeverity::Soft,
                   "issue: IQ entry does not match its ROB entry");
             iqBusy_[s] = false; // tolerated: drop the stale entry
+            noteLive(dfi::StructureId::IssueQueue, s);
             continue;
         }
         issueCandidates_[count++] = {s, uop.seq};
@@ -671,6 +684,7 @@ OooCore::issueStage()
         if (phys_src1 >= cfg_.numPhysInt ||
             phys_src2 >= cfg_.numPhysInt) {
             iqBusy_[cand.slot] = false;
+            noteLive(dfi::StructureId::IssueQueue, cand.slot);
             continue;
         }
         const bool src1_needed = uop.physSrc1 != Uop::kNoPhys;
@@ -737,6 +751,7 @@ OooCore::issueStage()
         uop.stage = Uop::Stage::Exec;
         uop.readyCycle = cycle_ + latency;
         iqBusy_[cand.slot] = false;
+        noteLive(dfi::StructureId::IssueQueue, cand.slot);
         uop.iqSlot = -1;
         ++issued;
         counters_.inc(CoreStat::IssuedInstructions);
@@ -1344,10 +1359,13 @@ OooCore::commitOne()
 
     // Release queue slots.
     if (uop.lsqSlot >= 0) {
-        if (cfg_.unifiedLsq || uop.isLoad)
+        if (cfg_.unifiedLsq || uop.isLoad) {
             lqBusy_[uop.lsqSlot] = false;
-        else
+            noteLive(loadQueueId(), uop.lsqSlot);
+        } else {
             sqBusy_[uop.lsqSlot] = false;
+            noteLive(dfi::StructureId::StoreQueue, uop.lsqSlot);
+        }
     }
 
     uop.valid = false;

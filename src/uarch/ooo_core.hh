@@ -161,6 +161,24 @@ enum class CoreStat : std::uint8_t
     Count
 };
 
+/**
+ * Receives every change of the occupancy state entryLive() reads from
+ * the core itself: the physical-register free flags and the issue,
+ * load and store queue busy flags.  Cache lines go live through their
+ * valid arrays, whose writes an AccessObserver already sees.  The
+ * golden-trace builder (inject/prune.hh) re-evaluates entryLive()
+ * only for the entries reported here, instead of scanning every
+ * entry every cycle.
+ */
+class LivenessSink
+{
+  public:
+    virtual ~LivenessSink() = default;
+    /** entryLive(id, entry) may have changed during this tick. */
+    virtual void onLivenessChange(dfi::StructureId id,
+                                  std::uint32_t entry) = 0;
+};
+
 /** The core. */
 class OooCore
 {
@@ -208,6 +226,13 @@ class OooCore
     bool entryLive(dfi::StructureId id, std::uint32_t entry);
 
     /**
+     * Attach (or detach with nullptr) the liveness sink.  Not owned.
+     * Copies of the core carry the pointer, so attach it only to a
+     * core that is not copied while the sink is attached.
+     */
+    void setLivenessSink(LivenessSink *sink) { livenessSink_ = sink; }
+
+    /**
      * Conservative upper bound on the bytes a checkpoint copy of this
      * core can come to own (COW pages count at full materialisation).
      * Used by the checkpoint store's memory budget; approximate — the
@@ -251,6 +276,26 @@ class OooCore
     void fetchPush(const FetchedInst &fetched);
     void doSyscall(Uop &uop);
     dfi::FaultableArray &lsqArrayFor(const Uop &uop, int *entry) const;
+
+    /**
+     * Report a change of physFree_/iqBusy_/lqBusy_/sqBusy_ to the
+     * liveness sink.  Every assignment to those flags after
+     * construction must call it (DESIGN.md section 13).
+     */
+    void
+    noteLive(dfi::StructureId id, int entry) const
+    {
+        if (livenessSink_ != nullptr)
+            livenessSink_->onLivenessChange(
+                id, static_cast<std::uint32_t>(entry));
+    }
+    /** The structure lqBusy_ guards: the unified LSQ or the LQ. */
+    dfi::StructureId
+    loadQueueId() const
+    {
+        return cfg_.unifiedLsq ? dfi::StructureId::LoadStoreQueue
+                               : dfi::StructureId::LoadQueue;
+    }
 
     CoreConfig cfg_;
     dfi::Counters<CoreStat> counters_;
@@ -313,6 +358,9 @@ class OooCore
         std::uint64_t seq;
     };
     std::vector<IssueCandidate> issueCandidates_;
+
+    // Not state: null except while a golden trace is being built.
+    LivenessSink *livenessSink_ = nullptr;
 };
 
 } // namespace dfi::uarch

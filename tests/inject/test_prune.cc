@@ -18,7 +18,9 @@
 #include "common/logging.hh"
 #include "inject/campaign.hh"
 #include "inject/plan.hh"
+#include "inject/target.hh"
 #include "inject/telemetry.hh"
+#include "uarch/ooo_core.hh"
 
 namespace
 {
@@ -339,6 +341,120 @@ TEST(Exhaustive, EnumeratesEveryBitCycleSite)
     EXPECT_EQ(result.records.size(), summary.stats.simulated);
     Parser parser;
     EXPECT_EQ(result.classify(parser).total(), summary.totalRuns);
+}
+
+/**
+ * The trace records liveness only where the core reports a change
+ * (OooCore's LivenessSink, the cache valid arrays' writes).  Every
+ * entry of every traced structure must still read exactly what
+ * entryLive() returns at every check cycle, where early-stop rule (i)
+ * reads it: after tick c-1, before tick c.
+ */
+TEST(GoldenTrace, LivenessMatchesEntryLiveEveryCycle)
+{
+    for (const char *core : {"marss-x86", "gem5-x86", "gem5-arm"}) {
+        CampaignConfig cfg = mixedConfig();
+        cfg.coreName = core;
+        const std::shared_ptr<const PreparedCampaign> prep =
+            InjectionCampaign(cfg).prepared();
+        for (const char *component :
+             {"int_regfile", "issue_queue", "lsq", "l1d", "l1d_tag",
+              "l1i", "l2"}) {
+            const std::shared_ptr<const GoldenTrace> trace =
+                prep->trace(component);
+            uarch::OooCore reference = prep->checkpoints.sourceFor(0);
+            const std::vector<StructureId> structures =
+                resolveComponent(component, reference);
+            ASSERT_EQ(trace->structures.size(), structures.size());
+            std::uint64_t checked = 0;
+            std::uint64_t live = 0;
+            for (std::uint64_t cycle = 1; cycle <= prep->golden.cycles;
+                 ++cycle) {
+                for (const StructureId id : structures) {
+                    const StructureTrace *entries = trace->find(id);
+                    ASSERT_NE(entries, nullptr);
+                    const std::size_t count =
+                        reference.arrayFor(id)->numEntries();
+                    for (std::uint32_t e = 0; e < count; ++e) {
+                        const bool expected = reference.entryLive(id, e);
+                        ASSERT_EQ(entries->liveAt(e, cycle), expected)
+                            << core << " " << component << " "
+                            << structureName(id) << " entry " << e
+                            << " cycle " << cycle;
+                        ++checked;
+                        live += expected ? 1 : 0;
+                    }
+                }
+                if (!reference.tick())
+                    break;
+            }
+            // Both verdicts occur, so the comparison is not vacuous.
+            EXPECT_GT(live, 0u) << core << " " << component;
+            EXPECT_LT(live, checked) << core << " " << component;
+        }
+    }
+}
+
+/**
+ * The exhaustive lsq plan of `micro` is pinned: about 1.4 M sites per
+ * core, split into simulated, statically pruned and equivalence-
+ * pruned counts that a classifier change would move.  A second campaign
+ * on the same adopted preparation classifies from the trace a
+ * 24-injection campaign cached there, and must read the same counts.
+ */
+TEST(Prune, ExhaustiveMicroLsqCountsArePinned)
+{
+    struct Pinned
+    {
+        const char *core;
+        std::uint64_t simulated;
+        std::uint64_t prunedStatic;
+        std::uint64_t prunedEquiv;
+        std::uint64_t estimatedCycles;
+    };
+    const std::vector<Pinned> pins = {
+        {"marss-x86", 6304, 1371008, 27616, 4137312},
+        {"gem5-x86", 2208, 1491072, 4832, 1372928},
+        {"gem5-arm", 2208, 1399552, 5216, 1327360},
+    };
+    for (const Pinned &pin : pins) {
+        CampaignConfig cfg = mixedConfig();
+        cfg.coreName = pin.core;
+        cfg.component = "lsq";
+        cfg.numInjections = 0;
+        cfg.exhaustive = true;
+
+        InjectionCampaign fresh(cfg);
+        const auto summary = fresh.planSummary();
+        EXPECT_EQ(summary.stats.simulated, pin.simulated) << pin.core;
+        EXPECT_EQ(summary.stats.prunedStatic, pin.prunedStatic)
+            << pin.core;
+        EXPECT_EQ(summary.stats.prunedEquiv, pin.prunedEquiv)
+            << pin.core;
+        EXPECT_EQ(summary.estimatedSimulatedCycles, pin.estimatedCycles)
+            << pin.core;
+
+        CampaignConfig sampled = cfg;
+        sampled.exhaustive = false;
+        sampled.numInjections = 24;
+        InjectionCampaign builder(sampled);
+        const std::shared_ptr<const PreparedCampaign> prep =
+            builder.prepared();
+        builder.run();
+        ASSERT_EQ(prep->traceBuilds(), 1u);
+
+        InjectionCampaign cached(cfg);
+        cached.adoptPrepared(prep);
+        const auto again = cached.planSummary();
+        EXPECT_EQ(prep->traceBuilds(), 1u) << "the trace was rebuilt";
+        EXPECT_EQ(again.stats.simulated, pin.simulated) << pin.core;
+        EXPECT_EQ(again.stats.prunedStatic, pin.prunedStatic)
+            << pin.core;
+        EXPECT_EQ(again.stats.prunedEquiv, pin.prunedEquiv)
+            << pin.core;
+        EXPECT_EQ(again.estimatedSimulatedCycles, pin.estimatedCycles)
+            << pin.core;
+    }
 }
 
 TEST(Exhaustive, ConfigGates)

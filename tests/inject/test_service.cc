@@ -419,6 +419,38 @@ TEST(PreparedCampaign, AdoptedPreparationReproducesColdRun)
     EXPECT_EQ(warm_result.pruned.size(), cold_result.pruned.size());
 }
 
+/**
+ * Single flight per component: racing requests for one component's
+ * trace share one build and one object; another component gets its
+ * own trace.
+ */
+TEST(PreparedCampaign, TraceBuiltOncePerComponentUnderConcurrency)
+{
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(smokeConfig()).prepared();
+    std::vector<std::shared_ptr<const GoldenTrace>> traces(4);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        threads.emplace_back([&prep, &traces, i] {
+            traces[i] = prep->trace("int_regfile");
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const auto &trace : traces) {
+        ASSERT_NE(trace, nullptr);
+        EXPECT_EQ(trace, traces[0]);
+    }
+    EXPECT_EQ(prep->traceBuilds(), 1u);
+
+    const std::shared_ptr<const GoldenTrace> other = prep->trace("l1d");
+    EXPECT_NE(other, traces[0]);
+    EXPECT_EQ(prep->traceBuilds(), 2u);
+    // One golden run, one committed-instructions table.
+    EXPECT_EQ(other->committedAfter, traces[0]->committedAfter);
+    EXPECT_EQ(prep->trace("int_regfile"), traces[0]);
+}
+
 // ---------------------------------------------------------------
 // CampaignService
 // ---------------------------------------------------------------
@@ -484,9 +516,11 @@ TEST(Service, LruEvictsColdestEntryWhenOverBudget)
     ASSERT_TRUE(sizing.execute(a).ok);
     const std::uint64_t one_entry = sizing.cacheStats().bytes;
     ASSERT_GT(one_entry, 0u);
-    // The budget holds exactly one entry only if B costs what A does.
-    ASSERT_EQ(InjectionCampaign(b.config).prepared()->approxBytes(),
-              one_entry);
+    // The budget holds exactly one entry only if B costs what A does
+    // once served (a served entry is charged its golden trace too).
+    CampaignService sizing_b({});
+    ASSERT_TRUE(sizing_b.execute(b).ok);
+    ASSERT_EQ(sizing_b.cacheStats().bytes, one_entry);
 
     CampaignService::Options options;
     options.cacheBudgetBytes = one_entry + 1;
@@ -499,6 +533,54 @@ TEST(Service, LruEvictsColdestEntryWhenOverBudget)
 
     EXPECT_TRUE(service.execute(b).cacheHit);  // b survived
     EXPECT_FALSE(service.execute(a).cacheHit); // a was evicted
+}
+
+/**
+ * A served entry is charged its golden trace: after a pruned request
+ * the entry costs the preparation plus the trace, and a budget that
+ * would hold two preparations but not a preparation, its trace and a
+ * second preparation evicts the first when the second program arrives.
+ */
+TEST(Service, TraceBytesAreChargedToTheBudget)
+{
+    ServiceRequest a;
+    a.config = smokeConfig();
+    a.config.numInjections = 8;
+    ServiceRequest b = a;
+    b.config.checkpointMemBudgetMB = 255; // same shape, own prepKey
+    ASSERT_NE(a.config.prepKey(), b.config.prepKey());
+
+    const std::uint64_t untraced =
+        InjectionCampaign(a.config).prepared()->approxBytes();
+    CampaignService sizing({});
+    ASSERT_TRUE(sizing.execute(a).ok);
+    const CampaignService::CacheStats sized = sizing.cacheStats();
+    EXPECT_EQ(sized.traceBuilds, 1u);
+    ASSERT_GT(sized.traceBytes, 0u);
+    EXPECT_EQ(sized.bytes, untraced + sized.traceBytes);
+
+    // A sweep on the cached program reuses the trace of its
+    // component and builds one for a new component.
+    ServiceRequest sweep = a;
+    sweep.config.seed = 8;
+    ASSERT_TRUE(sizing.execute(sweep).ok);
+    EXPECT_EQ(sizing.cacheStats().traceBuilds, 1u);
+    sweep.config.component = "l1d";
+    ASSERT_TRUE(sizing.execute(sweep).ok);
+    EXPECT_EQ(sizing.cacheStats().traceBuilds, 2u);
+    EXPECT_GT(sizing.cacheStats().traceBytes, sized.traceBytes);
+
+    CampaignService::Options options;
+    options.cacheBudgetBytes = 2 * untraced + sized.traceBytes - 1;
+    CampaignService service(options);
+    ASSERT_FALSE(service.execute(a).cacheHit);
+    EXPECT_EQ(service.cacheStats().bytes, sized.bytes);
+    ASSERT_FALSE(service.execute(b).cacheHit); // evicts a
+    EXPECT_EQ(service.cacheStats().evictions, 1u);
+    EXPECT_EQ(service.cacheStats().entries, 1u);
+    EXPECT_EQ(service.cacheStats().bytes, sized.bytes);
+    EXPECT_TRUE(service.execute(b).cacheHit);
+    EXPECT_FALSE(service.execute(a).cacheHit);
 }
 
 /**
