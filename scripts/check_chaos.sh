@@ -12,7 +12,7 @@
 #       disk_errors > 0, and a hard request error exits 1 while a
 #       dead socket with retries exhausted exits 3.
 #   B — disk hard-down: every cache read AND write fails; after
-#       diskFailureLimit consecutive errors the disk tier disables
+#       three consecutive errors the disk tier disables
 #       itself (disk_disabled: true) and the memory tier keeps
 #       serving byte-equal responses.
 #   C — socket I/O storm: EINTR and short transfers injected into

@@ -1,6 +1,8 @@
 #include "common/netio.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <limits>
 #include <poll.h>
 #include <unistd.h>
 
@@ -30,27 +32,38 @@ waitFor(int fd, short events, int timeoutMs)
 
 } // namespace
 
+int
+LineReader::waitMs() const
+{
+    if (deadline_ == Clock::time_point::max())
+        return idleTimeoutMs_;
+    const int left = static_cast<int>(std::clamp<long long>(
+        std::chrono::ceil<std::chrono::milliseconds>(deadline_ -
+                                                     Clock::now())
+            .count(),
+        0, std::numeric_limits<int>::max()));
+    return idleTimeoutMs_ < 0 ? left : std::min(idleTimeoutMs_, left);
+}
+
 ReadResult
 LineReader::next(std::string &out)
 {
     out.clear();
     char buf[4096];
     while (true) {
-        while (scan_ < pending_.size()) {
-            const char ch = pending_[scan_++];
-            if (ch == '\n') {
-                pending_.erase(0, scan_);
-                scan_ = 0;
-                return ReadResult::Line;
-            }
-            out.push_back(ch);
-            if (out.size() > maxLineBytes_)
-                return ReadResult::TooLong;
+        const std::size_t newline = pending_.find('\n');
+        const std::size_t take =
+            newline == std::string::npos ? pending_.size() : newline;
+        if (out.size() + take > maxLineBytes_)
+            return ReadResult::TooLong;
+        out.append(pending_, 0, take);
+        if (newline != std::string::npos) {
+            pending_.erase(0, newline + 1);
+            return ReadResult::Line;
         }
         pending_.clear();
-        scan_ = 0;
-        if (idleTimeoutMs_ >= 0) {
-            const int ready = waitFor(fd_, POLLIN, idleTimeoutMs_);
+        if (const int wait_ms = waitMs(); wait_ms >= 0) {
+            const int ready = waitFor(fd_, POLLIN, wait_ms);
             if (ready < 0)
                 return ReadResult::Error;
             if (ready == 0)
@@ -78,8 +91,7 @@ LineReader::next(std::string &out)
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
                 // Non-blocking fd raced poll (or no poll configured):
                 // wait for readability and retry.
-                const int ready = waitFor(fd_, POLLIN,
-                                          idleTimeoutMs_);
+                const int ready = waitFor(fd_, POLLIN, waitMs());
                 if (ready < 0)
                     return ReadResult::Error;
                 if (ready == 0)

@@ -24,6 +24,7 @@
 #ifndef DFI_COMMON_NETIO_HH
 #define DFI_COMMON_NETIO_HH
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -55,26 +56,33 @@ enum class ReadResult
 class LineReader
 {
   public:
+    using Clock = std::chrono::steady_clock;
+
     /**
      * @param fd            source descriptor (blocking or not)
      * @param maxLineBytes  bound on one line; longer returns TooLong
      * @param idleTimeoutMs poll() bound per read; < 0 waits forever
+     * @param deadline      no read waits past it (Timeout after it)
      */
     explicit LineReader(int fd, std::size_t maxLineBytes,
-                        int idleTimeoutMs = -1)
+                        int idleTimeoutMs = -1,
+                        Clock::time_point deadline = Clock::time_point::max())
         : fd_(fd), maxLineBytes_(maxLineBytes),
-          idleTimeoutMs_(idleTimeoutMs)
+          idleTimeoutMs_(idleTimeoutMs), deadline_(deadline)
     {}
 
     /** Read one newline-terminated line (without the newline). */
     ReadResult next(std::string &out);
 
   private:
+    /** The next poll() bound; < 0 waits forever. */
+    int waitMs() const;
+
     int fd_;
     std::size_t maxLineBytes_;
     int idleTimeoutMs_;
+    Clock::time_point deadline_;
     std::string pending_;
-    std::size_t scan_ = 0;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "inject/merge.hh"
 
 #include <algorithm>
-#include <fstream>
 
 #include "inject/telemetry.hh"
 
@@ -148,31 +147,6 @@ mergeTelemetryStreams(const std::vector<std::string> &paths,
     out.summaryJson = acc.summaryJson(
         *config, *golden, 0, have_prune ? &prune_stats : nullptr);
     out.runs = records.size();
-    return true;
-}
-
-bool
-mergeTelemetryFiles(const std::vector<std::string> &paths,
-                    const std::string &base, MergeResult &out,
-                    std::string &error)
-{
-    if (!mergeTelemetryStreams(paths, out, error))
-        return false;
-    const std::string runs_path = base + ".jsonl";
-    std::ofstream runs(runs_path, std::ios::binary);
-    runs << out.runsJsonl;
-    if (!runs) {
-        error = "cannot write '" + runs_path + "'";
-        return false;
-    }
-    runs.close();
-    const std::string summary_path = base + ".summary.json";
-    std::ofstream summary(summary_path, std::ios::binary);
-    summary << out.summaryJson;
-    if (!summary) {
-        error = "cannot write '" + summary_path + "'";
-        return false;
-    }
     return true;
 }
 

@@ -54,14 +54,6 @@ struct MergeResult
 bool mergeTelemetryStreams(const std::vector<std::string> &paths,
                            MergeResult &out, std::string &error);
 
-/**
- * Convenience: mergeTelemetryStreams(), then write `<base>.jsonl` and
- * `<base>.summary.json`.  I/O failure also reports through `error`.
- */
-bool mergeTelemetryFiles(const std::vector<std::string> &paths,
-                         const std::string &base, MergeResult &out,
-                         std::string &error);
-
 } // namespace dfi::inject
 
 #endif // DFI_INJECT_MERGE_HH

@@ -296,6 +296,26 @@ encodeServiceProgress(std::uint64_t done, std::uint64_t total)
     return line;
 }
 
+bool
+decodeServiceProgress(const json::Value &line, std::uint64_t &done,
+                      std::uint64_t &total)
+{
+    const json::Value *kind = line.find("kind");
+    const json::Value *done_v = line.find("done");
+    const json::Value *total_v = line.find("total");
+    const auto count = [](const json::Value *v) {
+        return v != nullptr && v->kind() == json::Kind::Int &&
+               !v->isNegative();
+    };
+    if (kind == nullptr || kind->kind() != json::Kind::String ||
+        kind->asString() != kServiceProgressKind || !count(done_v) ||
+        !count(total_v))
+        return false;
+    done = done_v->asUint();
+    total = total_v->asUint();
+    return true;
+}
+
 json::Value
 encodeServiceResponse(const ServiceResponse &response)
 {
@@ -587,8 +607,6 @@ CampaignService::lockedEvictOverBudget()
         lru_.pop_back();
         ++stats_.evictions;
     }
-    stats_.entries = lru_.size();
-    stats_.bytes = cacheBytes_;
 }
 
 void
@@ -769,8 +787,7 @@ CampaignService::noteDiskOutcome(bool ok)
     }
     ++stats_.diskErrors;
     ++diskFailStreak_;
-    if (opts_.diskFailureLimit != 0 && !diskDisabled_ &&
-        diskFailStreak_ >= opts_.diskFailureLimit) {
+    if (!diskDisabled_ && diskFailStreak_ >= kDiskFailureLimit) {
         diskDisabled_ = true;
         warn("disk cache disabled after %s consecutive I/O "
              "failures; serving from memory only",

@@ -54,15 +54,16 @@
  * not reproducible).  `scripts/check_service.sh` asserts exactly
  * this against `results/golden/`.
  *
- * The wire protocol (tools/dfi_serve.cc) is newline-delimited JSON
- * over a Unix-domain socket; the encode/decode halves live here so
- * they are unit-testable without sockets.  See DESIGN.md §11.
+ * The wire protocol (served by inject/serve.hh) is newline-delimited
+ * JSON over a Unix-domain socket; the encode/decode halves live here
+ * so they are unit-testable without sockets.  See DESIGN.md §11.
  */
 
 #ifndef DFI_INJECT_SERVICE_HH
 #define DFI_INJECT_SERVICE_HH
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -83,6 +84,9 @@ namespace dfi::inject
 inline constexpr const char *kServiceRequestKind = "dfi-request";
 inline constexpr const char *kServiceResponseKind = "dfi-response";
 inline constexpr const char *kServiceProgressKind = "dfi-progress";
+
+/** Upper bound on one protocol line (the runs artifact rides in). */
+inline constexpr std::size_t kMaxLineBytes = 256ull << 20;
 
 /** One client request: an operation plus (for campaigns) a config. */
 struct ServiceRequest
@@ -114,6 +118,13 @@ json::Value encodeServiceRequest(const ServiceRequest &request);
 /** A progress event line. */
 json::Value encodeServiceProgress(std::uint64_t done,
                                   std::uint64_t total);
+
+/**
+ * Decode a progress event line (the client half); false unless it is
+ * one and its `done` and `total` are unsigned integers.
+ */
+bool decodeServiceProgress(const json::Value &line, std::uint64_t &done,
+                           std::uint64_t &total);
 
 /** The terminal response to one request. */
 struct ServiceResponse
@@ -188,16 +199,15 @@ class CampaignService
          * persistence.
          */
         std::string cacheDir;
-
-        /**
-         * Graceful degradation: after this many *consecutive*
-         * disk-cache I/O failures the disk tier disables itself for
-         * the rest of the process (counted in stats; the memory
-         * tier keeps serving).  A miss — absent or invalid file —
-         * is not a failure.  0 never disables.
-         */
-        std::uint32_t diskFailureLimit = 3;
     };
+
+    /**
+     * Graceful degradation: after this many *consecutive* disk-cache
+     * I/O failures the disk tier disables itself (counted in stats;
+     * the memory tier keeps serving).  A miss — absent or invalid
+     * file — is not a failure.
+     */
+    static constexpr std::uint32_t kDiskFailureLimit = 3;
 
     struct CacheStats
     {
@@ -356,7 +366,7 @@ class CampaignService
     /**
      * Feed the degradation policy one disk outcome: success resets
      * the consecutive-failure streak, failure advances it and trips
-     * diskDisabled_ at Options::diskFailureLimit.
+     * diskDisabled_ at kDiskFailureLimit.
      */
     void noteDiskOutcome(bool ok);
 

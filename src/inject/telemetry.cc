@@ -847,6 +847,25 @@ readTelemetryFile(const std::string &path, TelemetryFile &out,
     return true;
 }
 
+bool
+writeTelemetryArtifacts(const std::string &base,
+                        const std::string &runsJsonl,
+                        const std::string &summaryJson,
+                        std::string &error)
+{
+    const auto write = [&error](const std::string &path,
+                                const std::string &content) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << content;
+        out.flush();
+        if (!out)
+            error = "cannot write '" + path + "'";
+        return static_cast<bool>(out);
+    };
+    return write(base + ".jsonl", runsJsonl) &&
+           write(base + ".summary.json", summaryJson);
+}
+
 DiffOutcome
 diffTelemetry(const TelemetryFile &a, const TelemetryFile &b,
               const DiffOptions &options, std::string &report)

@@ -344,6 +344,15 @@ bool parseTelemetry(const std::string &text, TelemetryFile &out,
 bool readTelemetryFile(const std::string &path, TelemetryFile &out,
                        std::string &error);
 
+/**
+ * Write one artifact pair from memory: `<base>.jsonl` and
+ * `<base>.summary.json`.  False + error on I/O failure.
+ */
+bool writeTelemetryArtifacts(const std::string &base,
+                             const std::string &runsJsonl,
+                             const std::string &summaryJson,
+                             std::string &error);
+
 /** Comparison outcome; values are the dfi-diff exit codes. */
 enum class DiffOutcome : int
 {

@@ -191,10 +191,13 @@ TEST(Merge, WriteFilesEmitsTheMergedArtifacts)
     MergeResult merged;
     std::string error;
     // Shard order must not matter.
-    ASSERT_TRUE(mergeTelemetryFiles(
-        {(dir.path / "s1.jsonl").string(),
-         (dir.path / "s0.jsonl").string()},
-        (dir.path / "merged").string(), merged, error))
+    ASSERT_TRUE(mergeTelemetryStreams({(dir.path / "s1.jsonl").string(),
+                                       (dir.path / "s0.jsonl").string()},
+                                      merged, error))
+        << error;
+    ASSERT_TRUE(writeTelemetryArtifacts((dir.path / "merged").string(),
+                                        merged.runsJsonl,
+                                        merged.summaryJson, error))
         << error;
     EXPECT_EQ(readFile(dir.path / "merged.jsonl"), merged.runsJsonl);
     EXPECT_EQ(readFile(dir.path / "merged.summary.json"),

@@ -364,6 +364,41 @@ TEST(ServiceProtocol, RequestLineBytesArePinned)
         "\"checkpoint_budget_mb\":256}}");
 }
 
+TEST(ServiceProtocol, ProgressRoundTrip)
+{
+    json::Value line;
+    std::string error;
+    ASSERT_TRUE(json::parse(encodeServiceProgress(3, 24).dump(), line,
+                            error))
+        << error;
+    std::uint64_t done = 0;
+    std::uint64_t total = 0;
+    ASSERT_TRUE(decodeServiceProgress(line, done, total));
+    EXPECT_EQ(done, 3u);
+    EXPECT_EQ(total, 24u);
+}
+
+TEST(ServiceProtocol, ProgressDecodeRejectsMalformedCounts)
+{
+    const char *bad[] = {
+        R"({"kind":"dfi-progress","total":24})",
+        R"({"kind":"dfi-progress","done":3})",
+        R"({"kind":"dfi-progress","done":-1,"total":24})",
+        R"({"kind":"dfi-progress","done":3,"total":-24})",
+        R"({"kind":"dfi-progress","done":1.5,"total":24})",
+        R"({"kind":"dfi-progress","done":3,"total":"24"})",
+        R"({"kind":"dfi-response","done":3,"total":24})",
+    };
+    for (const char *text : bad) {
+        json::Value line;
+        std::string error;
+        ASSERT_TRUE(json::parse(text, line, error)) << error;
+        std::uint64_t done = 0;
+        std::uint64_t total = 0;
+        EXPECT_FALSE(decodeServiceProgress(line, done, total)) << text;
+    }
+}
+
 TEST(ServiceProtocol, ResponseRoundTripPreservesArtifacts)
 {
     ServiceResponse response;
@@ -1266,25 +1301,26 @@ TEST(ServiceChaos, DiskDegradesAfterConsecutiveIoFailures)
     FailpointGuard guard;
     CampaignService::Options options;
     options.cacheDir = freshCacheDir("dfi-service-chaos-cache");
-    options.diskFailureLimit = 2;
 
     ServiceRequest request;
     request.config = smokeConfig();
     request.config.numInjections = 8;
 
     std::string error;
-    ASSERT_TRUE(failpoint::configure("cache.write=error", error))
+    ASSERT_TRUE(failpoint::configure("cache.read=error;cache.write=error",
+                                     error))
         << error;
 
     CampaignService service(options);
     const ServiceResponse cold = service.execute(request);
     ASSERT_TRUE(cold.ok) << cold.error;
 
-    // One execution makes two consecutive store attempts (prepared
-    // state, then the response memo); both failed, tripping the
-    // limit: the disk tier is now off for the process lifetime.
+    // One execution makes three consecutive disk operations (memo
+    // read, spill read, spill write); all failed, tripping the limit:
+    // the disk tier is now off for the process lifetime, so the
+    // response memo is never stored.
     CampaignService::CacheStats stats = service.cacheStats();
-    EXPECT_EQ(stats.diskErrors, 2u);
+    EXPECT_EQ(stats.diskErrors, 3u);
     EXPECT_TRUE(stats.diskDisabled);
     EXPECT_EQ(stats.diskStores, 0u);
 
@@ -1298,7 +1334,7 @@ TEST(ServiceChaos, DiskDegradesAfterConsecutiveIoFailures)
     EXPECT_EQ(warm.cacheSource, "memory");
     EXPECT_EQ(warm.telemetryRuns, cold.telemetryRuns);
     stats = service.cacheStats();
-    EXPECT_EQ(stats.diskErrors, 2u);
+    EXPECT_EQ(stats.diskErrors, 3u);
     EXPECT_TRUE(stats.diskDisabled);
 
     std::filesystem::remove_all(options.cacheDir);
@@ -1309,7 +1345,6 @@ TEST(ServiceChaos, SuccessResetsTheFailureStreak)
     FailpointGuard guard;
     CampaignService::Options options;
     options.cacheDir = freshCacheDir("dfi-service-streak-cache");
-    options.diskFailureLimit = 3;
 
     ServiceRequest request;
     request.config = smokeConfig();

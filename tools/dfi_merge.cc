@@ -29,6 +29,7 @@
 #include "common/cli.hh"
 #include "common/version.hh"
 #include "inject/merge.hh"
+#include "inject/telemetry.hh"
 
 using namespace dfi::inject;
 namespace cli = dfi::cli;
@@ -78,7 +79,9 @@ main(int argc, char **argv)
 
     MergeResult merged;
     std::string error;
-    if (!mergeTelemetryFiles(paths, out_base, merged, error)) {
+    if (!mergeTelemetryStreams(paths, merged, error) ||
+        !writeTelemetryArtifacts(out_base, merged.runsJsonl,
+                                 merged.summaryJson, error)) {
         std::fprintf(stderr, "dfi-merge: %s\n", error.c_str());
         return 2;
     }
