@@ -53,6 +53,7 @@ runFigure(const std::string &figure_title, const std::string &component)
     const std::uint64_t seed = envUint("DFI_SEED", 0x5eed);
     const auto jobs =
         static_cast<std::uint32_t>(envUint("DFI_JOBS", 0));
+    const bool prune = envUint("DFI_NO_PRUNE", 0) == 0;
     const auto benchmarks = selectedBenchmarks();
 
     inject::FigureReport report(figure_title, setupNames());
@@ -68,6 +69,7 @@ runFigure(const std::string &figure_title, const std::string &component)
             cfg.numInjections = injections;
             cfg.seed = seed;
             cfg.jobs = jobs; // 0 = hardware concurrency
+            cfg.prune = prune;
             inject::InjectionCampaign campaign(cfg);
             const auto result = campaign.run();
             report.add(bench, setup, result.classify(parser));

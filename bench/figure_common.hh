@@ -15,6 +15,9 @@
  *   DFI_JOBS         worker threads per campaign (default 0 =
  *                    hardware concurrency; any value reproduces the
  *                    same figures bit-for-bit)
+ *   DFI_NO_PRUNE     1 simulates every run instead of pruning
+ *                    (scripts/check_figures.sh proves both print the
+ *                    same figures)
  *   DFI_TELEMETRY_DIR  directory for the JSON twins of the text
  *                    output (default "results"; empty disables)
  */

@@ -8,12 +8,17 @@
 #     (10 programs x 3 setups x 150 seeded runs each, 22,500 runs);
 #   - bench_table1_capabilities .. bench_table4_structures, stdout
 #     and JSON twin;
-#   - bench_ablation_policies at DFI_INJECTIONS=100.
+#   - bench_ablation_policies at DFI_INJECTIONS=100;
+#   - Figs. 2-6 once more on a reduced matrix (sha and smooth, 60 runs
+#     per cell), pruned and with DFI_NO_PRUNE=1, compared with each
+#     other (text and JSON twin).
 #
 # Every pruned run of the figures is classified from a golden trace,
 # so this is the check that holds the classifier to the paper's
-# numbers, not just to the `micro` smoke campaigns.  Benches write
-# their JSON twins to WORKDIR, never into results/.
+# numbers, not just to the `micro` smoke campaigns.  Every unpruned
+# run is simulated from a dense checkpoint, so the last leg holds the
+# restores to the same numbers.  Benches write their JSON twins to
+# WORKDIR, never into results/.
 #
 # Usage:
 #   scripts/check_figures.sh [WORKDIR]
@@ -85,12 +90,31 @@ for bench in "${TABLES[@]}"; do
 done
 run bench_ablation_policies 100
 
+# Pruning is an execution strategy: with it off, each figure of the
+# reduced matrix must print the same bytes.
+mkdir -p "$WORKDIR/pruned" "$WORKDIR/unpruned"
+for bench in "${FIGURES[@]}"; do
+    started=$SECONDS
+    for no_prune in 0 1; do
+        mode=$([[ "$no_prune" == 1 ]] && echo unpruned || echo pruned)
+        env DFI_BENCHMARKS=sha,smooth DFI_INJECTIONS=60 \
+            DFI_NO_PRUNE="$no_prune" DFI_TELEMETRY_DIR="$WORKDIR/$mode" \
+            "$BENCH_DIR/$bench" > "$WORKDIR/$mode/$bench.txt" \
+            2> "$WORKDIR/$mode/$bench.log"
+    done
+    same "$WORKDIR/unpruned/$bench.txt" "$WORKDIR/pruned/$bench.txt"
+    same "$WORKDIR/unpruned/$bench.json" "$WORKDIR/pruned/$bench.json"
+    echo "== $bench pruned = unpruned ($((SECONDS - started)) s)" >&2
+done
+
 if [[ "$status" -ne 0 ]]; then
-    echo "FAIL: a paper transcript drifted from results/ (see above;" \
-         "regenerated copies are in $WORKDIR).  A change that means" \
-         "to move an outcome regenerates the transcripts and the" \
-         "EXPERIMENTS.md numbers in the same change." >&2
+    echo "FAIL: a paper transcript drifted from results/, or pruning" \
+         "changed a figure (see above; regenerated copies are in" \
+         "$WORKDIR).  A change that means to move an outcome" \
+         "regenerates the transcripts and the EXPERIMENTS.md numbers" \
+         "in the same change." >&2
     exit "$status"
 fi
 echo "OK: 5 figures, 4 tables (+ JSON twins) and the policy ablation" >&2
-echo "    are byte-identical to results/." >&2
+echo "    are byte-identical to results/, and the figures are" >&2
+echo "    byte-identical pruned and unpruned on sha and smooth." >&2

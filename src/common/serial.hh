@@ -51,17 +51,34 @@ namespace dfi::serial
  * or backing store giving out mid-save): the first failure latches
  * ok() == false, later appends are dropped, and the caller must
  * discard the buffer instead of persisting a truncated archive.
+ *
+ * A counting writer (Writer(kCountOnly)) keeps no bytes and never
+ * fails: size() is what the archive would hold, interned pages once,
+ * which makes it a measure of the memory a snapshot stack keeps
+ * alive.
  */
 class Writer
 {
   public:
     static constexpr bool kSaving = true;
 
+    struct CountOnly
+    {
+    };
+    static constexpr CountOnly kCountOnly{};
+
+    Writer() = default;
+    explicit Writer(CountOnly) : countOnly_(true) {}
+
     bool ok() const { return ok_; }
 
     void
     bytes(const void *data, std::size_t n)
     {
+        if (countOnly_) {
+            counted_ += n;
+            return;
+        }
         if (!ok_)
             return;
         if (failpoint::check("serial.write").kind ==
@@ -106,9 +123,14 @@ class Writer
 
     const std::string &buffer() const { return buf_; }
 
+    /** Bytes written (or, counting, that would have been). */
+    std::uint64_t size() const { return countOnly_ ? counted_ : buf_.size(); }
+
   private:
     std::string buf_;
     bool ok_ = true;
+    bool countOnly_ = false;
+    std::uint64_t counted_ = 0;
     std::unordered_map<const void *, std::uint64_t> interned_;
 };
 

@@ -32,6 +32,13 @@ namespace
 /** Hard upper bound on any single simulated run. */
 constexpr std::uint64_t kAbsoluteCycleCap = 200'000'000;
 
+/**
+ * The dense checkpoint store's least target count: one snapshot every
+ * 512-1,024 cycles on the benchmark programs, so a run re-simulates
+ * at most that much of the golden run before its flip.
+ */
+constexpr std::uint32_t kDenseCheckpoints = 64;
+
 bool
 knownName(const std::vector<std::string> &names,
           const std::string &name)
@@ -254,9 +261,9 @@ bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg)
 std::shared_ptr<const GoldenTrace>
 PreparedCampaign::trace(const std::string &component) const
 {
-    std::unique_lock<std::mutex> lock(traces_.mu);
-    TraceSlot &slot = traces_.slots[component];
-    traces_.cv.wait(lock, [&slot] { return !slot.building; });
+    std::unique_lock<std::mutex> lock(memo_.mu);
+    TraceSlot &slot = memo_.slots[component];
+    memo_.cv.wait(lock, [&slot] { return !slot.building; });
     if (slot.trace != nullptr)
         return slot.trace;
     slot.building = true;
@@ -272,40 +279,100 @@ PreparedCampaign::trace(const std::string &component) const
     } catch (...) {
         lock.lock();
         slot.building = false;
-        traces_.cv.notify_all();
+        memo_.cv.notify_all();
         throw;
     }
 
     lock.lock();
     // One golden run, one committed-instructions table: later traces
     // share the first one's.
-    if (traces_.committedAfter == nullptr) {
-        traces_.committedAfter = built.committedAfter;
-        traces_.bytes +=
-            traces_.committedAfter->size() * sizeof(std::uint32_t);
+    if (memo_.committedAfter == nullptr) {
+        memo_.committedAfter = built.committedAfter;
+        memo_.bytes +=
+            memo_.committedAfter->size() * sizeof(std::uint32_t);
     } else {
-        built.committedAfter = traces_.committedAfter;
+        built.committedAfter = memo_.committedAfter;
     }
     slot.trace = std::make_shared<const GoldenTrace>(std::move(built));
     slot.building = false;
-    ++traces_.builds;
-    traces_.bytes += slot.trace->structureBytes();
-    traces_.cv.notify_all();
+    ++memo_.builds;
+    memo_.bytes += slot.trace->structureBytes();
+    memo_.cv.notify_all();
     return slot.trace;
 }
 
 std::uint64_t
 PreparedCampaign::traceBuilds() const
 {
-    std::lock_guard<std::mutex> lock(traces_.mu);
-    return traces_.builds;
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.builds;
 }
 
 std::uint64_t
 PreparedCampaign::traceBytes() const
 {
-    std::lock_guard<std::mutex> lock(traces_.mu);
-    return traces_.bytes;
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.bytes;
+}
+
+std::shared_ptr<const CheckpointStore>
+PreparedCampaign::refined() const
+{
+    std::unique_lock<std::mutex> lock(memo_.mu);
+    memo_.cv.wait(lock, [this] { return !memo_.refining; });
+    if (memo_.refined != nullptr)
+        return memo_.refined;
+    memo_.refining = true;
+    lock.unlock();
+
+    std::shared_ptr<CheckpointStore> built;
+    std::uint64_t held = 0;
+    try {
+        CheckpointPolicy policy = checkpoints.policy();
+        policy.targetCount =
+            std::max(policy.targetCount, kDenseCheckpoints);
+        built = std::make_shared<CheckpointStore>(policy);
+        uarch::OooCore core = checkpoints.sourceFor(0);
+        built->captureBase(core);
+        // The golden pass again, observed the way prepare() observes
+        // it: every snapshot is the golden core at its cycle.
+        if (built->maxLiveSnapshots() > 1) {
+            while (core.tick())
+                built->observe(core);
+            if (core.cycle() != golden.cycles)
+                panic("checkpoint replay ended at cycle %s, the golden "
+                      "run at %s",
+                      core.cycle(), golden.cycles);
+        }
+        held = built->heldBytes();
+    } catch (...) {
+        lock.lock();
+        memo_.refining = false;
+        memo_.cv.notify_all();
+        throw;
+    }
+
+    lock.lock();
+    memo_.refined = std::move(built);
+    memo_.refining = false;
+    ++memo_.refines;
+    memo_.refinedBytes = held;
+    memo_.cv.notify_all();
+    return memo_.refined;
+}
+
+std::uint64_t
+PreparedCampaign::refines() const
+{
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.refines;
+}
+
+std::uint64_t
+PreparedCampaign::refinedBytes() const
+{
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.refinedBytes;
 }
 
 std::uint64_t
@@ -315,7 +382,8 @@ PreparedCampaign::approxBytes() const
     bytes += image.code.size() + image.data.size();
     bytes += expectedOutput.size() + golden.output.size();
     bytes += checkpoints.count() * checkpoints.snapshotBoundBytes();
-    return bytes + traceBytes();
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return bytes + memo_.bytes + memo_.refinedBytes;
 }
 
 void
@@ -468,10 +536,21 @@ InjectionCampaign::runOne(const std::vector<FaultMask> &masks,
     for (const FaultMask &mask : masks)
         task.firstCycle = std::min(task.firstCycle, mask.cycle);
 
+    useDenseCheckpoints();
     const TaskResult result = runTask(task);
     if (simulated_cycles != nullptr)
         *simulated_cycles = result.simulatedCycles;
     return result.record;
+}
+
+void
+InjectionCampaign::useDenseCheckpoints()
+{
+    // Checked per call, not per prepared state: whether an earlier
+    // campaign built the dense store must never decide which cycles
+    // this one simulates.
+    if (cfg_.useCheckpoints && dense_ == nullptr)
+        dense_ = prep_->refined();
 }
 
 TaskResult
@@ -488,8 +567,10 @@ InjectionCampaign::runTask(const RunTask &task) const
     // injection into this worker's private core.  The copy shares
     // the snapshot's COW pages, so its cost tracks the state the run
     // goes on to touch, not the core size.
+    const CheckpointStore &store =
+        dense_ != nullptr ? *dense_ : prep_->checkpoints;
     const auto restore_started = std::chrono::steady_clock::now();
-    uarch::OooCore core = prep_->checkpoints.sourceFor(first_cycle);
+    uarch::OooCore core = store.sourceFor(first_cycle);
     const std::uint64_t restore_micros = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - restore_started)
@@ -690,6 +771,11 @@ InjectionCampaign::run(const Progress &progress)
             completed.insert(record.runId);
         plan = plan.withoutRuns(completed);
     }
+
+    // Runs restore from the dense store, built once per prepared
+    // state and only for a plan that simulates something.
+    if (plan.numRuns() > 0)
+        useDenseCheckpoints();
 
     // Execute: serial or thread pool per cfg_.jobs; either way the
     // results come back in runId order.

@@ -266,16 +266,39 @@ void bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg);
  * private cores from the const checkpoint snapshots, which is
  * already the executor's thread-safety contract.
  *
- * The golden traces that classification reads (inject/prune.hh) are
- * a pure function of the same state, so the prepared state memoizes
- * them by component (trace()) and stays a shareable value.
+ * The golden traces that classification reads (inject/prune.hh) and
+ * the dense checkpoint store that faulty runs restore from are a pure
+ * function of the same state, so the prepared state memoizes them
+ * (trace(), refined()) and stays a shareable value.
  */
 struct PreparedCampaign
 {
     isa::Image image;
     std::vector<std::uint8_t> expectedOutput;
     syskit::RunRecord golden;
+
+    /**
+     * The snapshots prepare() captures during the golden pass, at the
+     * `--checkpoints` target.  They seed refined() and the disk spill.
+     */
     CheckpointStore checkpoints;
+
+    /**
+     * The dense checkpoint store faulty runs restore from: the coarse
+     * store's policy (budget included) at a target of at least 64
+     * snapshots, captured by replaying the golden run from a copy of
+     * the base snapshot.  Built on first use, single-flight
+     * like trace(); never serialized.  A policy that affords only the
+     * base snapshot (checkpoints off, or a budget below two
+     * snapshots) skips the replay.
+     */
+    std::shared_ptr<const CheckpointStore> refined() const;
+
+    /** Dense stores built so far (failed builds not counted). */
+    std::uint64_t refines() const;
+
+    /** Bytes the dense store keeps alive (CheckpointStore::heldBytes). */
+    std::uint64_t refinedBytes() const;
 
     /**
      * The golden trace of `component`, built on first use from a copy
@@ -298,12 +321,13 @@ struct PreparedCampaign
     std::uint64_t traceBytes() const;
 
     /**
-     * Conservative resident-footprint bound in bytes (the service's
-     * LRU budget accounting), traces included.  Snapshots are charged
-     * at the per-snapshot bound even though COW sharing usually keeps
-     * the true footprint lower.  Takes the trace memo's lock, so a
-     * caller may hold its own lock around it as long as no trace
-     * build ever waits on that lock.
+     * Resident-footprint estimate in bytes (the service's LRU budget
+     * accounting), traces and dense store included.  The coarse
+     * snapshots are charged at the per-snapshot bound even though COW
+     * sharing usually keeps the true footprint lower; the dense store
+     * at the bytes it holds.  Takes the memo's lock, so a caller may
+     * hold its own lock around it as long as no build ever waits on
+     * that lock.
      */
     std::uint64_t approxBytes() const;
 
@@ -313,9 +337,9 @@ struct PreparedCampaign
         bool building = false;
         std::shared_ptr<const GoldenTrace> trace;
     };
-    /** The trace memo: mutable cache state beside the immutable
-     *  artifacts, guarded by `mu`. */
-    struct TraceMemo
+    /** The memo of traces and dense store: mutable cache state beside
+     *  the immutable artifacts, guarded by `mu`. */
+    struct Memo
     {
         std::mutex mu;
         std::condition_variable cv;
@@ -323,8 +347,12 @@ struct PreparedCampaign
         std::shared_ptr<const std::vector<std::uint32_t>> committedAfter;
         std::uint64_t builds = 0;
         std::uint64_t bytes = 0;
+        bool refining = false;
+        std::shared_ptr<const CheckpointStore> refined;
+        std::uint64_t refines = 0;
+        std::uint64_t refinedBytes = 0;
     };
-    mutable TraceMemo traces_;
+    mutable Memo memo_;
 };
 
 /**
@@ -468,27 +496,36 @@ class InjectionCampaign
     /** Resolve the plan and summarize it (runs the golden first). */
     PlanSummary planSummary();
 
-    /** Run the whole campaign. */
+    /**
+     * Run the whole campaign.  A plan that simulates at least one run
+     * first builds the prepared state's dense checkpoint store
+     * (PreparedCampaign::refined()) unless checkpoints are off, and
+     * every task restores from it.
+     */
     CampaignResult run(const Progress &progress = {});
 
     /**
      * Run a single fault group (exposed for tests and directed
-     * studies).  `masks` must share one runId.
+     * studies), restoring from the dense store as run() does.
+     * `masks` must share one runId.
      */
     syskit::RunRecord runOne(const std::vector<dfi::FaultMask> &masks,
                              std::uint64_t *simulated_cycles = nullptr);
 
     /**
-     * Execute one planned task (the executor layer's TaskRunner).
-     * Requires golden() to have run; after that it only reads shared
-     * immutable state (config, image, const checkpoints), so any
-     * number of threads may call it concurrently.
+     * Execute one planned task (the executor layer's TaskRunner),
+     * restoring from the dense store once run() or runOne() built it
+     * and from the coarse one before.  Requires golden() to have run;
+     * after that it only reads shared immutable state (config, image,
+     * const checkpoints), so any number of threads may call it
+     * concurrently.
      */
     TaskResult runTask(const RunTask &task) const;
 
     /**
-     * The checkpoint store (exposed for tests and benches).  Valid
-     * after golden()/run() has prepared the campaign.
+     * The coarse checkpoint store prepare() captured (exposed for
+     * tests and benches).  Valid after golden()/run() has prepared
+     * the campaign.
      */
     const CheckpointStore &checkpoints() const
     {
@@ -501,11 +538,16 @@ class InjectionCampaign
   private:
     void prepare();
 
+    /** Restore from the dense store from now on, unless checkpoints
+     *  are off. */
+    void useDenseCheckpoints();
+
     /** Resolve the full (unsharded) plan; requires prepare(). */
     CampaignPlan makePlan() const;
 
     CampaignConfig cfg_;
     std::shared_ptr<const PreparedCampaign> prep_; //!< set by prepare()
+    std::shared_ptr<const CheckpointStore> dense_; //!< prep_->refined()
 };
 
 } // namespace dfi::inject

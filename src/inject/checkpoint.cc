@@ -100,6 +100,14 @@ CheckpointStore::sourceFor(std::uint64_t cycle) const
     return *snapshots_[indexFor(cycle)];
 }
 
+std::uint64_t
+CheckpointStore::heldBytes() const
+{
+    serial::Writer counter(serial::Writer::kCountOnly);
+    saveState(counter);
+    return counter.size();
+}
+
 namespace
 {
 /** Backstop against nonsense snapshot counts in a corrupt stream. */

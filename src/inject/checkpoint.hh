@@ -31,6 +31,11 @@
  * The capture schedule is a pure function of the policy and the
  * golden run — never of wall-clock or thread timing — so campaign
  * results stay bit-identical for every budget and `--jobs` value.
+ *
+ * A prepared campaign holds two stores with the same policy but for
+ * the target count: the coarse one prepare() captures (spilled with
+ * the prepared state), and a dense one that faulty runs restore from,
+ * replayed on first use (PreparedCampaign::refined()).
  */
 
 #ifndef DFI_INJECT_CHECKPOINT_HH
@@ -114,6 +119,8 @@ class CheckpointStore
 
     std::size_t count() const { return snapshots_.size(); }
 
+    const CheckpointPolicy &policy() const { return policy_; }
+
     /** Current capture spacing in cycles. */
     std::uint64_t interval() const { return interval_; }
 
@@ -125,6 +132,12 @@ class CheckpointStore
 
     /** True when the budget (not targetCount) set the cap. */
     bool budgetLimited() const { return budgetLimited_; }
+
+    /**
+     * Bytes the snapshots keep alive: the saveState() archive size,
+     * each COW page counted once however many snapshots share it.
+     */
+    std::uint64_t heldBytes() const;
 
     /**
      * Serialize the store (policy echo, schedule, every snapshot) for

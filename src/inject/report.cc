@@ -187,8 +187,10 @@ FigureReport::toJson() const
             json::Value entry = json::Value::object();
             entry.set("benchmark", json::Value::string(bench));
             entry.set("setup", json::Value::string(setup));
-            for (const auto &[key, value] :
-                 countsJson(cell->counts).members())
+            // Named, not iterated as a temporary: a range-for does not
+            // extend the life of a temporary behind members().
+            const json::Value counts = countsJson(cell->counts);
+            for (const auto &[key, value] : counts.members())
                 entry.set(key, value);
             cells.push(std::move(entry));
         }

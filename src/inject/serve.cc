@@ -38,11 +38,16 @@ unixAddress(const std::string &path, sockaddr_un &addr)
     return true;
 }
 
-/** A socket connected to `addr`; -1 with errno preserved. */
+/**
+ * A non-blocking socket connected to `addr`; -1 with errno preserved.
+ * A listener whose backlog is full fails the connect with EAGAIN at
+ * once instead of holding the caller in the kernel, where neither a
+ * deadline nor a drain can reach it.
+ */
 int
 connectUnix(const sockaddr_un &addr)
 {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd < 0)
         return -1;
     if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
@@ -91,11 +96,14 @@ Server::listen(const std::string &path, std::string &error)
             return false;
         }
         // A socket someone accepts on belongs to a live daemon, and
-        // replacing it would silently hijack its clients.  One nobody
-        // answers on is debris from a daemon that died without
-        // cleanup; replace it.
-        if (const int probe = connectUnix(addr); probe >= 0) {
-            ::close(probe);
+        // replacing it would silently hijack its clients; a full
+        // backlog (EAGAIN) is a live daemon too.  One nobody answers
+        // on is debris from a daemon that died without cleanup;
+        // replace it.
+        const int probe = connectUnix(addr);
+        if (probe >= 0 || errno == EAGAIN) {
+            if (probe >= 0)
+                ::close(probe);
             error = path + " is served by a live daemon; refusing to "
                            "replace it";
             return false;
@@ -225,7 +233,7 @@ Server::handle(int fd)
 {
     const int stream_ms = pollMs(bounds_.streamTimeoutMs);
     std::string line;
-    netio::LineReader reader(fd, kMaxLineBytes,
+    netio::LineReader reader(fd, kMaxRequestLineBytes,
                              pollMs(bounds_.idleTimeoutMs));
     const netio::ReadResult got = reader.next(line);
     if (got == netio::ReadResult::Timeout) {
@@ -250,7 +258,7 @@ Server::handle(int fd)
         // The peer is still there and still sending; tell it what
         // went wrong instead of silently dropping the connection.
         response.error = "request line exceeds " +
-                         std::to_string(kMaxLineBytes) + " bytes";
+                         std::to_string(kMaxRequestLineBytes) + " bytes";
     } else if (!json::parse(line, parsed, error) ||
                !decodeServiceRequest(parsed, request, error)) {
         response.error = error;
@@ -315,8 +323,8 @@ bool
 retryableConnectErrno(int err)
 {
     // ECONNREFUSED/ENOENT: the daemon is (re)starting and has not
-    // bound its socket yet.  The rest are transient kernel or load
-    // conditions.
+    // bound its socket yet.  EAGAIN: its backlog is full.  The rest
+    // are transient kernel or load conditions.
     return err == ECONNREFUSED || err == ENOENT || err == EAGAIN ||
            err == ETIMEDOUT || err == ECONNRESET;
 }

@@ -561,6 +561,7 @@ CampaignService::cacheInsert(
     entry.key = key;
     entry.bytes = prep->approxBytes();
     entry.traceBytes = prep->traceBytes();
+    entry.refinedBytes = prep->refinedBytes();
     entry.prep = std::move(prep);
 
     // An entry larger than the whole budget would evict everything
@@ -588,6 +589,10 @@ CampaignService::cacheRecharge(
     stats_.traceBuilds += builds - it->traceBuilds;
     it->traceBuilds = builds;
     it->traceBytes = prep->traceBytes();
+    const std::uint64_t refines = prep->refines();
+    stats_.refines += refines - it->refines;
+    it->refines = refines;
+    it->refinedBytes = prep->refinedBytes();
     cacheBytes_ -= it->bytes;
     it->bytes = prep->approxBytes();
     if (it->bytes > opts_.cacheBudgetBytes) {
@@ -971,8 +976,9 @@ CampaignService::execute(const ServiceRequest &request,
         // with the error instead of leaving them blocked forever.
         publishFlight(prep_key, *flight, nullptr, response.error);
     }
-    // The request may have built a golden trace on the shared
-    // preparation; charge it to the budget.
+    // The request may have built a golden trace or the dense
+    // checkpoint store on the shared preparation; charge it to the
+    // budget.
     if (prep != nullptr && cache_enabled)
         cacheRecharge(prep);
     return response;
@@ -1072,8 +1078,10 @@ CampaignService::lockedCacheStats() const
     stats.entries = lru_.size();
     stats.bytes = cacheBytes_;
     stats.diskDisabled = diskDisabled_;
-    for (const CacheEntry &entry : lru_)
+    for (const CacheEntry &entry : lru_) {
         stats.traceBytes += entry.traceBytes;
+        stats.refinedBytes += entry.refinedBytes;
+    }
     return stats;
 }
 
@@ -1101,6 +1109,9 @@ CampaignService::statsJson() const
     cache.set("disk_disabled", json::Value::boolean(stats.diskDisabled));
     cache.set("trace_builds", json::Value::unsignedInt(stats.traceBuilds));
     cache.set("trace_bytes", json::Value::unsignedInt(stats.traceBytes));
+    cache.set("refines", json::Value::unsignedInt(stats.refines));
+    cache.set("refined_bytes",
+              json::Value::unsignedInt(stats.refinedBytes));
     json::Value queue = json::Value::object();
     queue.set("active", json::Value::unsignedInt(active_));
     queue.set("running", json::Value::unsignedInt(running_));

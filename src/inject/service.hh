@@ -21,9 +21,11 @@
  *    (Options::cacheBudgetBytes), charged at
  *    PreparedCampaign::approxBytes(); cold entries evict first.  A
  *    prepared state's golden traces (one per component, built by the
- *    first pruned request that needs it) live and die with it: each
- *    executed request re-charges its entry, so the traces count
- *    against the budget, and they are never spilled to disk;
+ *    first pruned request that needs it) and its dense checkpoint
+ *    store (built by the first request that simulates a run) live
+ *    and die with it: each executed request re-charges its entry, so
+ *    they count against the budget, and they are never spilled to
+ *    disk;
  *  - preparation is single-flight: when several racing requests miss
  *    on the same prepKey(), exactly one (the leader) runs prepare()
  *    and the rest block until the shared artifacts are published —
@@ -87,6 +89,13 @@ inline constexpr const char *kServiceProgressKind = "dfi-progress";
 
 /** Upper bound on one protocol line (the runs artifact rides in). */
 inline constexpr std::size_t kMaxLineBytes = 256ull << 20;
+
+/**
+ * Upper bound on a request line, which the daemon buffers before it
+ * answers.  A request is under 1 KiB; the bound leaves room for long
+ * names without letting one peer make the daemon hold megabytes.
+ */
+inline constexpr std::size_t kMaxRequestLineBytes = 64u << 10;
 
 /** One client request: an operation plus (for campaigns) a config. */
 struct ServiceRequest
@@ -236,6 +245,12 @@ class CampaignService
 
         /** Bytes of golden traces charged to the cached entries. */
         std::uint64_t traceBytes = 0;
+
+        /** Dense checkpoint stores built by cached prepared states. */
+        std::uint64_t refines = 0;
+
+        /** Bytes of dense stores charged to the cached entries. */
+        std::uint64_t refinedBytes = 0;
     };
 
     using Progress =
@@ -279,8 +294,10 @@ class CampaignService
         std::string key;
         std::shared_ptr<const PreparedCampaign> prep;
         std::uint64_t bytes = 0;
-        std::uint64_t traceBytes = 0;  //!< share of bytes
-        std::uint64_t traceBuilds = 0; //!< already in stats_
+        std::uint64_t traceBytes = 0;   //!< share of bytes
+        std::uint64_t traceBuilds = 0;  //!< already in stats_
+        std::uint64_t refinedBytes = 0; //!< share of bytes
+        std::uint64_t refines = 0;      //!< already in stats_
     };
 
     /**
@@ -307,8 +324,9 @@ class CampaignService
 
     /**
      * Re-charge `prep`'s entry (if still cached) at its current
-     * approxBytes() — it grows as requests build golden traces — and
-     * evict beyond the byte budget the way cacheInsert() does.
+     * approxBytes() — it grows as requests build golden traces and
+     * the dense checkpoint store — and evict beyond the byte budget
+     * the way cacheInsert() does.
      */
     void
     cacheRecharge(const std::shared_ptr<const PreparedCampaign> &prep);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "gemsim/gefin.hh"
 #include "inject/campaign.hh"
@@ -115,37 +116,50 @@ TEST(Campaign, CheckpointScheduleIsStrictlyEarlier)
 
 TEST(Campaign, InjectionAtCheckpointCycleMatchesFromReset)
 {
-    // Boundary determinism: a mask landing exactly on a checkpoint
-    // cycle must produce the same record whether the run restores
-    // from a snapshot or replays from reset.
-    auto cfg = microConfig("marss-x86", "l1d");
-    InjectionCampaign with(cfg);
-    (void)with.golden();
-    const auto &cycles = with.checkpoints().cycles();
-    ASSERT_GE(cycles.size(), 2u);
+    // Boundary determinism: a mask landing exactly on, or one cycle
+    // after, a checkpoint cycle must produce the same record whether
+    // the run restores from a snapshot or replays from reset.  Runs
+    // restore from the dense store, whose cycles include the coarse
+    // store's, and from the snapshot strictly before the mask.
+    for (const char *component : {"l1d", "int_regfile"}) {
+        auto cfg = microConfig("marss-x86", component);
+        InjectionCampaign with(cfg);
+        const std::shared_ptr<const CheckpointStore> dense =
+            with.prepared()->refined();
+        const auto &cycles = dense->cycles();
+        ASSERT_GT(cycles.size(), with.checkpoints().count());
 
-    cfg.useCheckpoints = false;
-    InjectionCampaign without(cfg);
-    (void)without.golden();
-    ASSERT_EQ(without.checkpoints().count(), 1u);
+        cfg.useCheckpoints = false;
+        InjectionCampaign without(cfg);
+        (void)without.golden();
+        ASSERT_EQ(without.checkpoints().count(), 1u);
 
-    for (std::size_t i = 1; i < cycles.size(); ++i) {
-        dfi::FaultMask mask;
-        mask.structure = StructureId::L1DData;
-        mask.entry = 3;
-        mask.bit = 5;
-        mask.type = FaultType::Transient;
-        mask.cycle = cycles[i];
+        const StructureId structure = std::string(component) == "l1d"
+                                          ? StructureId::L1DData
+                                          : StructureId::IntRegFile;
+        for (std::size_t i = 1; i < cycles.size(); ++i) {
+            for (const std::uint64_t at : {cycles[i], cycles[i] + 1}) {
+                dfi::FaultMask mask;
+                mask.structure = structure;
+                mask.entry = 3;
+                mask.bit = 5;
+                mask.type = FaultType::Transient;
+                mask.cycle = at;
 
-        const auto a = with.runOne({mask});
-        const auto b = without.runOne({mask});
-        EXPECT_EQ(a.term, b.term) << "checkpoint cycle " << cycles[i];
-        EXPECT_EQ(a.exitCode, b.exitCode);
-        EXPECT_EQ(a.output, b.output);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.instructions, b.instructions);
-        EXPECT_EQ(a.earlyStopMasked, b.earlyStopMasked);
-        EXPECT_EQ(a.earlyStopReason, b.earlyStopReason);
+                std::uint64_t simulated = 0;
+                const auto a = with.runOne({mask}, &simulated);
+                const auto b = without.runOne({mask});
+                EXPECT_EQ(simulated, a.cycles - dense->sourceFor(at).cycle())
+                    << "restored from the dense snapshot before " << at;
+                EXPECT_EQ(a.term, b.term) << component << " cycle " << at;
+                EXPECT_EQ(a.exitCode, b.exitCode);
+                EXPECT_EQ(a.output, b.output);
+                EXPECT_EQ(a.cycles, b.cycles);
+                EXPECT_EQ(a.instructions, b.instructions);
+                EXPECT_EQ(a.earlyStopMasked, b.earlyStopMasked);
+                EXPECT_EQ(a.earlyStopReason, b.earlyStopReason);
+            }
+        }
     }
 }
 
@@ -154,13 +168,18 @@ TEST(Campaign, CheckpointBudgetDropsToBaseSnapshot)
     // The micro image alone is 2 MiB of guest memory, so a 1 MiB
     // budget cannot afford a second snapshot: capture must drop to
     // the base one (runs start from reset) rather than exceed the
-    // budget — and outcomes must not change.
+    // budget — and outcomes must not change.  The dense store the
+    // runs restore from stays under the same budget.  Unpruned, so
+    // every run restores.
     auto cfg = microConfig("marss-x86", "l1d");
+    cfg.prune = false;
     Parser parser;
 
     InjectionCampaign unlimited(cfg);
     const auto a = unlimited.run().classify(parser);
     EXPECT_GE(unlimited.checkpoints().count(), 2u);
+    EXPECT_GT(unlimited.prepared()->refined()->count(),
+              unlimited.checkpoints().count());
 
     cfg.checkpointMemBudgetMB = 1;
     InjectionCampaign tight(cfg);
@@ -170,6 +189,11 @@ TEST(Campaign, CheckpointBudgetDropsToBaseSnapshot)
     EXPECT_EQ(store.maxLiveSnapshots(), 1u);
     EXPECT_EQ(store.count(), 1u);
     EXPECT_TRUE(store.budgetLimited());
+    const std::shared_ptr<const CheckpointStore> dense =
+        tight.prepared()->refined();
+    EXPECT_EQ(dense->maxLiveSnapshots(), 1u);
+    EXPECT_EQ(dense->count(), 1u);
+    EXPECT_TRUE(dense->budgetLimited());
 
     EXPECT_EQ(a.counts, b.counts);
 }
@@ -371,6 +395,20 @@ TEST(Report, FigureAggregation)
     const std::string summary = report.renderSummary();
     EXPECT_NE(summary.find("average vulnerability"),
               std::string::npos);
+
+    // The JSON twin carries every cell's counts (an ASan build catches
+    // a cell built from a dead temporary).
+    const json::Value doc = report.toJson();
+    const json::Value &cells = doc.get("cells");
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells.at(0).get("benchmark").asString(), "bench1");
+    EXPECT_EQ(cells.at(0).get("setup").asString(), "A");
+    EXPECT_EQ(cells.at(0).get("runs").asUint(), 100u);
+    EXPECT_DOUBLE_EQ(
+        cells.at(0).get("vulnerability_percent").asDouble(), 10.0);
+    EXPECT_DOUBLE_EQ(
+        doc.get("averages").get("A").get("vulnerability_percent").asDouble(),
+        5.0);
 }
 
 TEST(CampaignConfigValidate, DefaultAndMicroConfigsAreClean)

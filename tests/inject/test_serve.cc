@@ -4,7 +4,8 @@
  * in one process, on a temp socket: drain with handlers mid-stream
  * and with idle connections, the idle and stream bounds, oversized
  * request lines, live/stale/non-socket paths at listen, and the
- * client's retry, deadline and exit classification.
+ * client's retry, deadline (full backlogs included) and exit
+ * classification.
  */
 
 #include <gtest/gtest.h>
@@ -270,11 +271,10 @@ TEST_F(ServeLifecycle, OversizedRequestLineGetsAnErrorResponse)
     start();
     const int fd = rawSocket(path_, true);
     ASSERT_GE(fd, 0);
-    // Exactly one byte over the bound, so the server reads it all.
-    const std::string chunk(1 << 20, 'x');
-    for (std::size_t sent = 0; sent < kMaxLineBytes; sent += chunk.size())
-        ASSERT_TRUE(netio::writeAll(fd, chunk));
-    ASSERT_TRUE(netio::writeAll(fd, "x"));
+    // Exactly one byte over the request bound, so the server reads it
+    // all.  Only responses may be as long as kMaxLineBytes.
+    ASSERT_TRUE(
+        netio::writeAll(fd, std::string(kMaxRequestLineBytes + 1, 'x')));
 
     std::string line;
     netio::LineReader reader(fd, kMaxLineBytes);
@@ -286,7 +286,8 @@ TEST_F(ServeLifecycle, OversizedRequestLineGetsAnErrorResponse)
     ASSERT_TRUE(decodeServiceResponse(parsed, response, error)) << error;
     EXPECT_FALSE(response.ok);
     EXPECT_FALSE(response.retryable);
-    EXPECT_NE(response.error.find("request line exceeds"),
+    EXPECT_NE(response.error.find("request line exceeds " +
+                                  std::to_string(kMaxRequestLineBytes)),
               std::string::npos)
         << response.error;
     ::close(fd);
@@ -351,6 +352,35 @@ TEST_F(ServeLifecycle, ClientDeadlineBoundsAnAttemptNobodyAnswers)
     EXPECT_TRUE(in_time);
     EXPECT_EQ(result.exitCode, 3);
     EXPECT_NE(result.why.find("deadline of 300 ms exceeded"),
+              std::string::npos)
+        << result.why;
+}
+
+TEST_F(ServeLifecycle, ClientDeadlineBoundsAConnectToAFullBacklog)
+{
+    // A listener that accepts nothing, with one connection queued:
+    // its backlog of 0 is full, so every further connect waits.
+    const int full = rawSocket(path_, false);
+    ASSERT_GE(full, 0);
+    ASSERT_EQ(::listen(full, 0), 0);
+    const int queued = rawSocket(path_, true);
+    ASSERT_GE(queued, 0);
+
+    RetryPolicy policy;
+    policy.retries = 100;
+    policy.backoffMs = 10;
+    policy.deadlineMs = 500;
+    std::future<ClientResult> pending = std::async(
+        std::launch::async, [&] { return call(opRequest("ping"), policy); });
+    const bool in_time = pending.wait_for(milliseconds(500 + 1000)) ==
+                         std::future_status::ready;
+    ::close(full); // refuses a connect the client still waits in
+    const ClientResult result = pending.get();
+    ::close(queued);
+    EXPECT_TRUE(in_time);
+    EXPECT_EQ(result.exitCode, 3);
+    EXPECT_NE(result.why.find("connect("), std::string::npos) << result.why;
+    EXPECT_NE(result.why.find("deadline of 500 ms exceeded"),
               std::string::npos)
         << result.why;
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -486,6 +487,106 @@ TEST(PreparedCampaign, TraceBuiltOncePerComponentUnderConcurrency)
     EXPECT_EQ(prep->trace("int_regfile"), traces[0]);
 }
 
+/** The archive of one core, pages interned within it alone. */
+std::string
+coreBytes(const uarch::OooCore &core)
+{
+    serial::Writer writer;
+    const_cast<uarch::OooCore &>(core).serializeState(writer);
+    EXPECT_TRUE(writer.ok());
+    return writer.buffer();
+}
+
+/**
+ * The dense store is the golden run replayed: it holds every cycle
+ * the coarse store holds and more, and at each shared cycle its
+ * snapshot serializes to the coarse snapshot's bytes.
+ */
+TEST(PreparedCampaign, DenseSnapshotsEqualCoarseOnesAtSharedCycles)
+{
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(smokeConfig()).prepared();
+    const CheckpointStore &coarse = prep->checkpoints;
+    const std::shared_ptr<const CheckpointStore> dense = prep->refined();
+    ASSERT_NE(dense, nullptr);
+    EXPECT_GT(dense->count(), coarse.count());
+    EXPECT_EQ(dense->snapshotBoundBytes(), coarse.snapshotBoundBytes());
+    EXPECT_EQ(prep->refinedBytes(), dense->heldBytes());
+
+    for (const std::uint64_t cycle : coarse.cycles()) {
+        const std::vector<std::uint64_t> &held = dense->cycles();
+        ASSERT_TRUE(std::binary_search(held.begin(), held.end(), cycle))
+            << "cycle " << cycle;
+        // sourceFor(c + 1) is the snapshot taken at c.
+        const uarch::OooCore &a = coarse.sourceFor(cycle + 1);
+        const uarch::OooCore &b = dense->sourceFor(cycle + 1);
+        ASSERT_EQ(a.cycle(), cycle);
+        ASSERT_EQ(b.cycle(), cycle);
+        EXPECT_EQ(coreBytes(a), coreBytes(b)) << "cycle " << cycle;
+    }
+}
+
+/**
+ * Concurrent campaigns on one prepared state share one dense store:
+ * one replay, one object, and every campaign's runs restore from it.
+ */
+TEST(PreparedCampaign, DenseStoreBuiltOnceUnderConcurrentRuns)
+{
+    CampaignConfig cfg = smokeConfig();
+    cfg.numInjections = 6;
+    cfg.prune = false;
+    cfg.telemetryCapture = true;
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(cfg).prepared();
+    std::vector<std::string> runs(4);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        threads.emplace_back([&prep, &runs, cfg, i] {
+            InjectionCampaign campaign(cfg);
+            campaign.adoptPrepared(prep);
+            runs[i] = campaign.run().telemetryRuns;
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(prep->refines(), 1u);
+    for (const std::string &stream : runs) {
+        EXPECT_FALSE(stream.empty());
+        EXPECT_EQ(stream, runs[0]);
+    }
+    EXPECT_EQ(prep->refined(), prep->refined());
+    EXPECT_EQ(prep->refines(), 1u);
+}
+
+/**
+ * The dense store costs a golden replay, so nothing builds it that
+ * will not restore from it: a plan the pruner fully classified, a
+ * campaign without checkpoints, and a dry run.
+ */
+TEST(PreparedCampaign, NoDenseStoreWithoutASimulatedRun)
+{
+    // The gem5-x86 smoke campaign prunes all 24 runs (its golden).
+    CampaignConfig pruned = smokeConfig();
+    pruned.coreName = "gem5-x86";
+    InjectionCampaign all_pruned(pruned);
+    const CampaignResult result = all_pruned.run();
+    ASSERT_TRUE(result.records.empty());
+    EXPECT_EQ(all_pruned.prepared()->refines(), 0u);
+
+    CampaignConfig off = smokeConfig();
+    off.prune = false;
+    off.useCheckpoints = false;
+    InjectionCampaign no_checkpoints(off);
+    ASSERT_FALSE(no_checkpoints.run().records.empty());
+    EXPECT_EQ(no_checkpoints.prepared()->refines(), 0u);
+
+    CampaignConfig dry = smokeConfig();
+    dry.prune = false;
+    InjectionCampaign dry_run(dry);
+    ASSERT_GT(dry_run.planSummary().executed, 0u);
+    EXPECT_EQ(dry_run.prepared()->refines(), 0u);
+}
+
 // ---------------------------------------------------------------
 // CampaignService
 // ---------------------------------------------------------------
@@ -571,10 +672,12 @@ TEST(Service, LruEvictsColdestEntryWhenOverBudget)
 }
 
 /**
- * A served entry is charged its golden trace: after a pruned request
- * the entry costs the preparation plus the trace, and a budget that
- * would hold two preparations but not a preparation, its trace and a
- * second preparation evicts the first when the second program arrives.
+ * A served entry is charged its golden trace and its dense checkpoint
+ * store: after a pruned request that simulates a run, the entry costs
+ * the preparation plus both, and a budget that would hold two
+ * preparations but not a preparation, its trace, its dense store and
+ * a second preparation evicts the first when the second program
+ * arrives.
  */
 TEST(Service, TraceBytesAreChargedToTheBudget)
 {
@@ -592,7 +695,10 @@ TEST(Service, TraceBytesAreChargedToTheBudget)
     const CampaignService::CacheStats sized = sizing.cacheStats();
     EXPECT_EQ(sized.traceBuilds, 1u);
     ASSERT_GT(sized.traceBytes, 0u);
-    EXPECT_EQ(sized.bytes, untraced + sized.traceBytes);
+    EXPECT_EQ(sized.refines, 1u);
+    ASSERT_GT(sized.refinedBytes, 0u);
+    EXPECT_EQ(sized.bytes,
+              untraced + sized.traceBytes + sized.refinedBytes);
 
     // A sweep on the cached program reuses the trace of its
     // component and builds one for a new component.
@@ -604,9 +710,13 @@ TEST(Service, TraceBytesAreChargedToTheBudget)
     ASSERT_TRUE(sizing.execute(sweep).ok);
     EXPECT_EQ(sizing.cacheStats().traceBuilds, 2u);
     EXPECT_GT(sizing.cacheStats().traceBytes, sized.traceBytes);
+    // One dense store serves every request on the program.
+    EXPECT_EQ(sizing.cacheStats().refines, 1u);
+    EXPECT_EQ(sizing.cacheStats().refinedBytes, sized.refinedBytes);
 
     CampaignService::Options options;
-    options.cacheBudgetBytes = 2 * untraced + sized.traceBytes - 1;
+    options.cacheBudgetBytes =
+        2 * untraced + sized.traceBytes + sized.refinedBytes - 1;
     CampaignService service(options);
     ASSERT_FALSE(service.execute(a).cacheHit);
     EXPECT_EQ(service.cacheStats().bytes, sized.bytes);
@@ -740,6 +850,8 @@ TEST(Service, StatsJsonCarriesCacheAndQueueCounters)
     EXPECT_EQ(stats.get("cache").get("coalesced").asUint(), 0u);
     EXPECT_EQ(stats.get("cache").get("disk_hits").asUint(), 0u);
     EXPECT_EQ(stats.get("cache").get("response_hits").asUint(), 0u);
+    EXPECT_EQ(stats.get("cache").get("refines").asUint(), 0u);
+    EXPECT_EQ(stats.get("cache").get("refined_bytes").asUint(), 0u);
     EXPECT_EQ(stats.get("queue").get("capacity").asUint(), 64u);
     EXPECT_EQ(stats.get("queue").get("workers").asUint(), 3u);
     EXPECT_EQ(stats.get("queue").get("running").asUint(), 0u);
