@@ -1,12 +1,17 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the framework's own hot paths:
- * simulator cycle throughput per model, FaultableArray access costs,
- * and checkpoint copy cost.  These are engineering benchmarks (not a
- * paper figure) used to keep campaign runtimes in check.
+ * simulator cycle throughput per model and program, FaultableArray
+ * access costs, and checkpoint copy cost.  These are engineering
+ * benchmarks (not a paper figure) used to keep campaign runtimes in
+ * check.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <string>
+#include <utility>
 
 #include "isa/codegen.hh"
 #include "prog/benchmark.hh"
@@ -19,21 +24,37 @@ using namespace dfi;
 namespace
 {
 
+/** A benchmark program, compiled once per ISA. */
 const isa::Image &
-microImage(isa::IsaKind kind)
+programImage(const std::string &program, isa::IsaKind kind)
 {
-    static const isa::Image x86 = ir::compileModule(
-        prog::buildBenchmark("micro").module, isa::IsaKind::X86);
-    static const isa::Image arm = ir::compileModule(
-        prog::buildBenchmark("micro").module, isa::IsaKind::Arm);
-    return kind == isa::IsaKind::X86 ? x86 : arm;
+    static std::map<std::pair<std::string, isa::IsaKind>, isa::Image>
+        images;
+    const auto key = std::make_pair(program, kind);
+    auto it = images.find(key);
+    if (it == images.end()) {
+        it = images
+                 .emplace(key, ir::compileModule(
+                                   prog::buildBenchmark(program).module,
+                                   kind))
+                 .first;
+    }
+    return it->second;
 }
 
+/**
+ * Whole golden runs at the campaigns' default cache scale.  `micro`
+ * keeps a shallow window (on gem5-x86, 8.5 IQ entries and 11 ROB
+ * steps of the conservative-load check per active cycle); `sha`
+ * holds 14.2 and walks 36, closer to what faulty runs spend their
+ * cycles on.
+ */
 void
-BM_CoreCycles(benchmark::State &state, uarch::CoreConfig cfg)
+BM_CoreCycles(benchmark::State &state, uarch::CoreConfig cfg,
+              const char *program)
 {
     uarch::scaleCaches(cfg, 0.0625);
-    const isa::Image &image = microImage(cfg.isa);
+    const isa::Image &image = programImage(program, cfg.isa);
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         uarch::OooCore core(cfg, image);
@@ -75,7 +96,7 @@ BM_CheckpointCopy(benchmark::State &state)
 {
     auto cfg = uarch::marssX86Config();
     uarch::scaleCaches(cfg, 0.0625);
-    uarch::OooCore core(cfg, microImage(isa::IsaKind::X86));
+    uarch::OooCore core(cfg, programImage("micro", isa::IsaKind::X86));
     for (int i = 0; i < 500; ++i)
         core.tick();
     for (auto _ : state) {
@@ -86,11 +107,23 @@ BM_CheckpointCopy(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_CoreCycles, marss_x86, uarch::marssX86Config())
+BENCHMARK_CAPTURE(BM_CoreCycles, marss_x86_micro, uarch::marssX86Config(),
+                  "micro")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CoreCycles, gem5_x86, uarch::gem5X86Config())
+BENCHMARK_CAPTURE(BM_CoreCycles, gem5_x86_micro, uarch::gem5X86Config(),
+                  "micro")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CoreCycles, gem5_arm, uarch::gem5ArmConfig())
+BENCHMARK_CAPTURE(BM_CoreCycles, gem5_arm_micro, uarch::gem5ArmConfig(),
+                  "micro")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CoreCycles, marss_x86_sha, uarch::marssX86Config(),
+                  "sha")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CoreCycles, gem5_x86_sha, uarch::gem5X86Config(),
+                  "sha")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CoreCycles, gem5_arm_sha, uarch::gem5ArmConfig(),
+                  "sha")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FaultableArrayRead);
 BENCHMARK(BM_FaultableArrayReadBytes);

@@ -71,6 +71,33 @@ for ext in jsonl summary.json; do
     fi
 done
 
+echo "== issue queue: pruned vs --no-prune on every core" >&2
+# The IQ's payload reads are watch-visible (DESIGN.md section 13):
+# pruning classifies a site from the golden trace of those reads, so
+# a hot-path change that drops, adds or reorders one drifts here.
+for core in marss-x86 gem5-x86 gem5-arm; do
+    for mode in pruned unpruned; do
+        flags=()
+        [[ "$mode" == unpruned ]] && flags=(--no-prune)
+        "$CAMPAIGN_BIN" \
+            --core "$core" \
+            --benchmark micro \
+            --component issue_queue \
+            --injections 600 \
+            --seed 99 \
+            --jobs 1 \
+            --telemetry-out "$WORKDIR/iq-$mode-$core" \
+            ${flags[@]+"${flags[@]}"} \
+            > /dev/null
+    done
+    for ext in jsonl summary.json; do
+        if ! "$DIFF_BIN" --exact "$WORKDIR/iq-unpruned-$core.$ext" \
+                "$WORKDIR/iq-pruned-$core.$ext"; then
+            status=1
+        fi
+    done
+done
+
 echo "== pruned header must report nonzero prune buckets" >&2
 header="$(head -n 1 "$WORKDIR/pruned.jsonl")"
 for key in pruned_static pruned_equiv; do

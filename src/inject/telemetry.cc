@@ -43,17 +43,6 @@ class DriftLog
     std::uint64_t drifts_ = 0;
 };
 
-/** Volatile members skipped by exact comparison at any nesting. */
-bool
-isVolatileKey(const std::string &key)
-{
-    return key == "wall_us" || key == "jobs" || key == "volatile" ||
-           key == "wall_total_us" || key == "sim_cycles" ||
-           key == "restore_us" || key == "sim_cycles_total" ||
-           key == "restore_total_us" || key == "prune" ||
-           key == "prune_class" || key == "generator";
-}
-
 std::string
 kindName(json::Kind kind)
 {
@@ -95,7 +84,7 @@ compareValues(const json::Value &a, const json::Value &b,
     switch (a.kind()) {
       case json::Kind::Object: {
         for (const auto &[key, value] : a.members()) {
-            if (isVolatileKey(key))
+            if (isVolatileTelemetryKey(key))
                 continue;
             const json::Value *other = b.find(key);
             if (other == nullptr) {
@@ -105,7 +94,7 @@ compareValues(const json::Value &a, const json::Value &b,
             compareValues(value, *other, path + "." + key, log);
         }
         for (const auto &[key, value] : b.members()) {
-            if (!isVolatileKey(key) && !a.has(key))
+            if (!isVolatileTelemetryKey(key) && !a.has(key))
                 log.add(path + "." + key + ": only in second file");
         }
         return;
@@ -229,6 +218,16 @@ decodeRecord(const json::Value &line, TelemetryRecord &out,
 }
 
 } // namespace
+
+bool
+isVolatileTelemetryKey(const std::string &key)
+{
+    return key == "wall_us" || key == "jobs" || key == "volatile" ||
+           key == "wall_total_us" || key == "sim_cycles" ||
+           key == "restore_us" || key == "sim_cycles_total" ||
+           key == "restore_total_us" || key == "prune" ||
+           key == "prune_class" || key == "generator";
+}
 
 const std::vector<double> &
 telemetryHistogramEdges()

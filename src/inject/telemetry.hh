@@ -353,6 +353,13 @@ bool writeTelemetryArtifacts(const std::string &base,
                              const std::string &summaryJson,
                              std::string &error);
 
+/**
+ * True for a member that exact comparison skips at any nesting: host
+ * timing, execution strategy (jobs, prune bookkeeping, simulated and
+ * restore cycles) and the generator version.
+ */
+bool isVolatileTelemetryKey(const std::string &key);
+
 /** Comparison outcome; values are the dfi-diff exit codes. */
 enum class DiffOutcome : int
 {

@@ -1,7 +1,7 @@
 #include "uarch/ooo_core.hh"
 
 #include <algorithm>
-#include <span>
+#include <bit>
 #include <string>
 
 #include "common/logging.hh"
@@ -76,12 +76,10 @@ OooCore::OooCore(const CoreConfig &config, const isa::Image &image)
       fpRf_("fp_rf", config.numPhysFp, 32),
       rob_(config.robEntries),
       iqArray_("iq", config.iqEntries, kIqPayloadBits),
-      iqBusy_(config.iqEntries, false),
       lsqData_("lsq.data",
                config.unifiedLsq ? config.lsqEntries : 1, 32),
       lqData_("lq.data", config.unifiedLsq ? 1 : config.lqEntries, 32),
-      sqData_("sq.data", config.unifiedLsq ? 1 : config.sqEntries, 32),
-      issueCandidates_(config.iqEntries)
+      sqData_("sq.data", config.unifiedLsq ? 1 : config.sqEntries, 32)
 {
     if (cfg_.isa != image.isa)
         fatal("core '%s' is %s but image is %s", cfg_.name,
@@ -89,6 +87,9 @@ OooCore::OooCore(const CoreConfig &config, const isa::Image &image)
     if (cfg_.robEntries > (1u << kIqRobBits))
         fatal("robEntries %s exceeds the IQ payload field",
               cfg_.robEntries);
+    if (cfg_.iqEntries > 64)
+        fatal("iqEntries %s exceeds the IQ occupancy mask",
+              cfg_.iqEntries);
 
     const std::uint32_t lsq_slots =
         cfg_.unifiedLsq ? cfg_.lsqEntries : cfg_.lqEntries;
@@ -178,12 +179,6 @@ OooCore::writePhys(std::uint16_t reg, std::uint32_t value)
     intRf_.writeBits(reg, 0, 32, value);
 }
 
-std::uint32_t
-OooCore::robIndex(std::uint32_t offset) const
-{
-    return (robHead_ + offset) % cfg_.robEntries;
-}
-
 void
 OooCore::finish(syskit::Termination term, const std::string &detail)
 {
@@ -242,7 +237,7 @@ OooCore::flushFrom(std::uint64_t first_bad_seq, std::uint32_t new_pc)
             freePhys(uop.physDst);
         }
         if (uop.iqSlot >= 0 && uop.stage == Uop::Stage::InIq) {
-            iqBusy_[uop.iqSlot] = false;
+            iqBusy_ &= ~iqBit(uop.iqSlot);
             noteLive(dfi::StructureId::IssueQueue, uop.iqSlot);
         }
         if (uop.lsqSlot >= 0) {
@@ -412,13 +407,9 @@ OooCore::renameStage()
         // Resource checks.
         int iq_slot = -1;
         if (needs_iq) {
-            for (std::uint32_t s = 0; s < cfg_.iqEntries; ++s) {
-                if (!iqBusy_[s]) {
-                    iq_slot = static_cast<int>(s);
-                    break;
-                }
-            }
-            if (iq_slot < 0)
+            // The lowest free slot; no bit at or past iqEntries is set.
+            iq_slot = std::countr_one(iqBusy_);
+            if (iq_slot >= static_cast<int>(cfg_.iqEntries))
                 return; // IQ full
         }
         int lsq_slot = -1;
@@ -573,7 +564,7 @@ OooCore::renameStage()
 
         if (needs_iq) {
             uop.iqSlot = iq_slot;
-            iqBusy_[iq_slot] = true;
+            iqBusy_ |= iqBit(iq_slot);
             noteLive(dfi::StructureId::IssueQueue, iq_slot);
             // Pack the payload into the injectable IQ array.
             std::uint64_t payload = 0;
@@ -620,11 +611,13 @@ OooCore::renameStage()
 void
 OooCore::issueStage()
 {
-    // Collect occupied IQ slots ordered oldest-first.
-    std::size_t count = 0;
-    for (std::uint32_t s = 0; s < cfg_.iqEntries; ++s) {
-        if (!iqBusy_[s])
-            continue;
+    // The ROB's valid entries are exactly the ring window from the
+    // head, in ascending seq, so a uop's offset from the head is its
+    // age rank.  The scan marks each candidate's offset; the issue
+    // loop walks the marks oldest-first (DESIGN.md section 13).
+    std::uint64_t by_age[2] = {0, 0}; // robEntries <= 128
+    for (std::uint64_t busy = iqBusy_; busy != 0; busy &= busy - 1) {
+        const int s = std::countr_zero(busy);
         // Peek the owning uop via the (injectable) payload.
         const std::uint64_t payload =
             iqArray_.readBits(s, 0, kIqPayloadBits);
@@ -633,132 +626,129 @@ OooCore::issueStage()
         check(rob_slot < cfg_.robEntries, CheckSeverity::Hard,
               "issue: IQ payload ROB index out of range");
         if (rob_slot >= cfg_.robEntries) {
-            iqBusy_[s] = false;
+            iqBusy_ &= ~iqBit(s);
             noteLive(dfi::StructureId::IssueQueue, s);
             continue;
         }
-        Uop &uop = rob_[rob_slot];
-        if (!uop.valid || uop.iqSlot != static_cast<int>(s) ||
+        const Uop &uop = rob_[rob_slot];
+        if (!uop.valid || uop.iqSlot != s ||
             uop.stage != Uop::Stage::InIq) {
             check(false, CheckSeverity::Soft,
                   "issue: IQ entry does not match its ROB entry");
-            iqBusy_[s] = false; // tolerated: drop the stale entry
+            iqBusy_ &= ~iqBit(s); // tolerated: drop the stale entry
             noteLive(dfi::StructureId::IssueQueue, s);
             continue;
         }
-        issueCandidates_[count++] = {s, uop.seq};
+        const std::uint32_t age = robOffset(rob_slot);
+        by_age[age / 64] |= std::uint64_t{1} << (age % 64);
     }
-    const std::span<IssueCandidate> candidates(issueCandidates_.data(),
-                                               count);
-    std::sort(candidates.begin(), candidates.end(),
-              [](const IssueCandidate &a, const IssueCandidate &b) {
-                  return a.seq < b.seq;
-              });
 
     std::uint32_t alus = cfg_.intAlus;
     std::uint32_t complexes = cfg_.complexAlus;
     std::uint32_t agus = cfg_.agus;
     std::uint32_t issued = 0;
 
-    for (const IssueCandidate &cand : candidates) {
-        if (issued >= cfg_.issueWidth)
-            break;
-        const std::uint64_t payload =
-            iqArray_.readBits(cand.slot, 0, kIqPayloadBits);
-        const auto phys_dst = static_cast<std::uint16_t>(
-            payload & ((1u << kIqDstBits) - 1));
-        const auto phys_src1 = static_cast<std::uint16_t>(
-            (payload >> kIqDstBits) & ((1u << kIqSrcBits) - 1));
-        const auto phys_src2 = static_cast<std::uint16_t>(
-            (payload >> (kIqDstBits + kIqSrcBits)) &
-            ((1u << kIqSrcBits) - 1));
-        const auto rob_slot = static_cast<std::uint32_t>(
-            payload >> (kIqDstBits + 2 * kIqSrcBits));
-        Uop &uop = rob_[rob_slot];
+    for (std::uint32_t word = 0; word < 2; ++word) {
+        for (std::uint64_t ages = by_age[word]; ages != 0;
+             ages &= ages - 1) {
+            if (issued >= cfg_.issueWidth)
+                return;
+            Uop &uop = rob_[robIndex(64 * word + std::countr_zero(ages))];
+            const int slot = uop.iqSlot;
+            const std::uint64_t payload =
+                iqArray_.readBits(slot, 0, kIqPayloadBits);
+            const auto phys_dst = static_cast<std::uint16_t>(
+                payload & ((1u << kIqDstBits) - 1));
+            const auto phys_src1 = static_cast<std::uint16_t>(
+                (payload >> kIqDstBits) & ((1u << kIqSrcBits) - 1));
+            const auto phys_src2 = static_cast<std::uint16_t>(
+                (payload >> (kIqDstBits + kIqSrcBits)) &
+                ((1u << kIqSrcBits) - 1));
 
-        // Readiness through the (possibly corrupted) payload ids.
-        check(phys_src1 < cfg_.numPhysInt &&
-                  phys_src2 < cfg_.numPhysInt,
-              CheckSeverity::Hard,
-              "issue: IQ payload source register out of range");
-        if (phys_src1 >= cfg_.numPhysInt ||
-            phys_src2 >= cfg_.numPhysInt) {
-            iqBusy_[cand.slot] = false;
-            noteLive(dfi::StructureId::IssueQueue, cand.slot);
-            continue;
-        }
-        const bool src1_needed = uop.physSrc1 != Uop::kNoPhys;
-        const bool src2_needed = uop.physSrc2 != Uop::kNoPhys;
-        if ((src1_needed && !physReady_[phys_src1]) ||
-            (src2_needed && !physReady_[phys_src2]))
-            continue;
-
-        // Conservative machines issue loads only once every older
-        // store address is known.
-        if (uop.isLoad && !cfg_.aggressiveLoadIssue) {
-            bool blocked = false;
-            for (std::uint32_t i = 0; i < robCount_; ++i) {
-                const Uop &other = rob_[robIndex(i)];
-                if (!other.valid || !other.isStore ||
-                    other.seq >= uop.seq)
-                    continue;
-                if (!other.addrResolved) {
-                    blocked = true;
-                    break;
-                }
+            // Readiness through the (possibly corrupted) payload ids.
+            check(phys_src1 < cfg_.numPhysInt &&
+                      phys_src2 < cfg_.numPhysInt,
+                  CheckSeverity::Hard,
+                  "issue: IQ payload source register out of range");
+            if (phys_src1 >= cfg_.numPhysInt ||
+                phys_src2 >= cfg_.numPhysInt) {
+                iqBusy_ &= ~iqBit(slot);
+                noteLive(dfi::StructureId::IssueQueue, slot);
+                continue;
             }
-            if (blocked)
+            const bool src1_needed = uop.physSrc1 != Uop::kNoPhys;
+            const bool src2_needed = uop.physSrc2 != Uop::kNoPhys;
+            if ((src1_needed && !physReady_[phys_src1]) ||
+                (src2_needed && !physReady_[phys_src2]))
                 continue;
-        }
 
-        // Functional-unit constraints.
-        const bool is_mem = uop.isLoad || uop.isStore;
-        const bool is_complex =
-            uop.op.kind == OpKind::AluRR || uop.op.kind == OpKind::AluRI
-                ? (uop.op.func == AluFunc::Mul ||
-                   uop.op.func == AluFunc::DivU ||
-                   uop.op.func == AluFunc::DivS ||
-                   uop.op.func == AluFunc::RemU ||
-                   uop.op.func == AluFunc::RemS)
-                : false;
-        if (is_mem) {
-            if (agus == 0)
-                continue;
-            --agus;
-        } else if (is_complex) {
-            if (complexes == 0)
-                continue;
-            --complexes;
-        } else {
-            if (alus == 0)
-                continue;
-            --alus;
-        }
+            // Conservative machines issue loads only once every older
+            // store address is known.
+            if (uop.isLoad && !cfg_.aggressiveLoadIssue) {
+                bool blocked = false;
+                for (std::uint32_t i = 0; i < robCount_; ++i) {
+                    const Uop &other = rob_[robIndex(i)];
+                    if (!other.valid || !other.isStore ||
+                        other.seq >= uop.seq)
+                        continue;
+                    if (!other.addrResolved) {
+                        blocked = true;
+                        break;
+                    }
+                }
+                if (blocked)
+                    continue;
+            }
 
-        // Register file read (fault-visible, via payload ids).
-        if (src1_needed)
-            uop.srcVal1 = readPhys(phys_src1);
-        if (src2_needed)
-            uop.srcVal2 = readPhys(phys_src2);
-        uop.issuedPhysDst =
-            uop.physDst == Uop::kNoPhys ? Uop::kNoPhys : phys_dst;
+            // Functional-unit constraints.
+            const bool is_mem = uop.isLoad || uop.isStore;
+            const bool is_complex =
+                uop.op.kind == OpKind::AluRR || uop.op.kind == OpKind::AluRI
+                    ? (uop.op.func == AluFunc::Mul ||
+                       uop.op.func == AluFunc::DivU ||
+                       uop.op.func == AluFunc::DivS ||
+                       uop.op.func == AluFunc::RemU ||
+                       uop.op.func == AluFunc::RemS)
+                    : false;
+            if (is_mem) {
+                if (agus == 0)
+                    continue;
+                --agus;
+            } else if (is_complex) {
+                if (complexes == 0)
+                    continue;
+                --complexes;
+            } else {
+                if (alus == 0)
+                    continue;
+                --alus;
+            }
 
-        std::uint32_t latency = cfg_.aluLatency;
-        if (is_complex) {
-            latency = (uop.op.func == AluFunc::Mul) ? cfg_.mulLatency
-                                                    : cfg_.divLatency;
+            // Register file read (fault-visible, via payload ids).
+            if (src1_needed)
+                uop.srcVal1 = readPhys(phys_src1);
+            if (src2_needed)
+                uop.srcVal2 = readPhys(phys_src2);
+            uop.issuedPhysDst =
+                uop.physDst == Uop::kNoPhys ? Uop::kNoPhys : phys_dst;
+
+            std::uint32_t latency = cfg_.aluLatency;
+            if (is_complex) {
+                latency = (uop.op.func == AluFunc::Mul) ? cfg_.mulLatency
+                                                        : cfg_.divLatency;
+            }
+            uop.stage = Uop::Stage::Exec;
+            uop.readyCycle = cycle_ + latency;
+            iqBusy_ &= ~iqBit(slot);
+            noteLive(dfi::StructureId::IssueQueue, slot);
+            uop.iqSlot = -1;
+            ++issued;
+            counters_.inc(CoreStat::IssuedInstructions);
+            if (uop.isLoad)
+                counters_.inc(CoreStat::IssuedLoads);
+            if (uop.isStore)
+                counters_.inc(CoreStat::IssuedStores);
         }
-        uop.stage = Uop::Stage::Exec;
-        uop.readyCycle = cycle_ + latency;
-        iqBusy_[cand.slot] = false;
-        noteLive(dfi::StructureId::IssueQueue, cand.slot);
-        uop.iqSlot = -1;
-        ++issued;
-        counters_.inc(CoreStat::IssuedInstructions);
-        if (uop.isLoad)
-            counters_.inc(CoreStat::IssuedLoads);
-        if (uop.isStore)
-            counters_.inc(CoreStat::IssuedStores);
     }
 }
 
@@ -1369,7 +1359,8 @@ OooCore::commitOne()
     }
 
     uop.valid = false;
-    robHead_ = (robHead_ + 1) % cfg_.robEntries;
+    if (++robHead_ == cfg_.robEntries)
+        robHead_ = 0;
     --robCount_;
     ++committed_;
     return true;
@@ -1511,7 +1502,8 @@ OooCore::entryLive(dfi::StructureId id, std::uint32_t entry)
       case StructureId::FpRegFile:
         return false; // integer workloads never allocate FP registers
       case StructureId::IssueQueue:
-        return entry < iqBusy_.size() && iqBusy_[entry];
+        return entry < cfg_.iqEntries &&
+               (iqBusy_ & iqBit(static_cast<int>(entry))) != 0;
       case StructureId::LoadStoreQueue:
       case StructureId::LoadQueue:
         return entry < lqBusy_.size() && lqBusy_[entry];
@@ -1546,6 +1538,60 @@ OooCore::approxStateBytes() const
     bytes += rob_.capacity() * sizeof(Uop);
     bytes += fetchRing_.capacity() * sizeof(FetchedInst);
     return bytes;
+}
+
+const char *
+OooCore::loadedStateError() const
+{
+    const auto in_file = [this](std::uint16_t reg) {
+        return reg < cfg_.numPhysInt;
+    };
+    if (renameMap_.size() != isa::kNumArchRegs ||
+        commitMap_.size() != isa::kNumArchRegs)
+        return "register maps do not cover the architectural registers";
+    if (!std::all_of(renameMap_.begin(), renameMap_.end(), in_file) ||
+        !std::all_of(commitMap_.begin(), commitMap_.end(), in_file) ||
+        !std::all_of(freeList_.begin(), freeList_.end(), in_file))
+        return "a register map or the free list names a register "
+               "outside numPhysInt";
+    if (physFree_.size() != cfg_.numPhysInt ||
+        physReady_.size() != cfg_.numPhysInt)
+        return "register flags do not match numPhysInt";
+    const std::uint32_t lq_slots =
+        cfg_.unifiedLsq ? cfg_.lsqEntries : cfg_.lqEntries;
+    if (lqBusy_.size() != lq_slots ||
+        sqBusy_.size() != (cfg_.unifiedLsq ? 0 : cfg_.sqEntries))
+        return "load/store queue occupancy does not match the "
+               "configuration";
+    if (rob_.size() != cfg_.robEntries || robHead_ >= cfg_.robEntries ||
+        robCount_ > cfg_.robEntries)
+        return "ROB ring does not match robEntries";
+    // issueStage() takes a valid uop's ring offset for its age.
+    for (std::uint32_t slot = 0; slot < cfg_.robEntries; ++slot) {
+        const Uop &uop = rob_[slot];
+        if (uop.valid != (robOffset(slot) < robCount_))
+            return "ROB valid flags do not match the head/count window";
+        if (!uop.valid)
+            continue;
+        const std::size_t queue = cfg_.unifiedLsq || uop.isLoad
+                                      ? lqBusy_.size()
+                                      : sqBusy_.size();
+        if (uop.iqSlot < -1 ||
+            uop.iqSlot >= static_cast<int>(cfg_.iqEntries) ||
+            uop.lsqSlot < -1 ||
+            uop.lsqSlot >= static_cast<int>(queue))
+            return "a ROB entry names a queue slot outside the "
+                   "configuration";
+        if ((uop.archDst != Uop::kNoArch &&
+             uop.archDst >= isa::kNumArchRegs) ||
+            (uop.archDst2 != Uop::kNoArch &&
+             uop.archDst2 >= isa::kNumArchRegs))
+            return "a ROB entry names an unknown architectural register";
+        if ((uop.isLoad || uop.isStore) &&
+            (uop.memWidth == 0 || uop.memWidth > 4))
+            return "a ROB entry has a memory width outside 1..4 bytes";
+    }
+    return nullptr;
 }
 
 template <class Ar>
@@ -1613,7 +1659,7 @@ OooCore::serializeState(Ar &ar)
     // cfg_ is construction-time data and is deliberately not part of
     // the stream; the loader constructs the core from the same config
     // first.  Every member below is dynamic state, listed in
-    // declaration order (the issueStage() scratch is not state).
+    // declaration order.
     serial::value(ar, counters_);
     serial::value(ar, record_);
     serial::value(ar, os_);
@@ -1652,13 +1698,33 @@ OooCore::serializeState(Ar &ar)
     serial::value(ar, robHead_);
     serial::value(ar, robCount_);
     serial::value(ar, iqArray_);
-    serial::value(ar, iqBusy_);
+    // The IQ occupancy mask travels as the one byte per slot of the
+    // std::vector<bool> it replaced, so archives keep their bytes.
+    std::vector<bool> iq_busy(cfg_.iqEntries);
+    for (std::uint32_t s = 0; s < cfg_.iqEntries; ++s)
+        iq_busy[s] = (iqBusy_ & iqBit(static_cast<int>(s))) != 0;
+    serial::value(ar, iq_busy);
     serial::value(ar, lsqData_);
     serial::value(ar, lqData_);
     serial::value(ar, sqData_);
     serial::value(ar, lqBusy_);
     serial::value(ar, sqBusy_);
     serial::value(ar, frontendStallUntil_);
+    if constexpr (!Ar::kSaving) {
+        if (!ar.ok())
+            return;
+        if (iq_busy.size() != cfg_.iqEntries) {
+            ar.fail("core: IQ occupancy does not match iqEntries");
+            return;
+        }
+        iqBusy_ = 0;
+        for (std::uint32_t s = 0; s < cfg_.iqEntries; ++s) {
+            if (iq_busy[s])
+                iqBusy_ |= iqBit(static_cast<int>(s));
+        }
+        if (const char *why = loadedStateError())
+            ar.fail(std::string("core: ") + why);
+    }
 }
 
 template void OooCore::serializeState(serial::Writer &);

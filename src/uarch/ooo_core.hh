@@ -259,7 +259,33 @@ class OooCore
 
     // Helpers.
     Uop &rob(std::uint32_t slot) { return rob_[slot]; }
-    std::uint32_t robIndex(std::uint32_t offset) const;
+
+    /**
+     * ROB slot `offset` entries after the head.  robHead_ and offset
+     * are both below robEntries (the loader checks robHead_), so one
+     * subtraction wraps the ring.
+     */
+    std::uint32_t
+    robIndex(std::uint32_t offset) const
+    {
+        const std::uint32_t slot = robHead_ + offset;
+        return slot < cfg_.robEntries ? slot : slot - cfg_.robEntries;
+    }
+
+    /** Inverse of robIndex(): a valid uop's offset is its age rank. */
+    std::uint32_t
+    robOffset(std::uint32_t slot) const
+    {
+        return slot >= robHead_ ? slot - robHead_
+                                : slot + cfg_.robEntries - robHead_;
+    }
+
+    /** iqBusy_ bit of one IQ slot. */
+    static std::uint64_t
+    iqBit(int slot)
+    {
+        return std::uint64_t{1} << slot;
+    }
     void flushFrom(std::uint64_t first_bad_seq, std::uint32_t new_pc);
     void flushAllYounger(std::uint64_t seq, std::uint32_t new_pc);
     std::uint16_t allocPhys();
@@ -276,6 +302,13 @@ class OooCore
     void fetchPush(const FetchedInst &fetched);
     void doSyscall(Uop &uop);
     dfi::FaultableArray &lsqArrayFor(const Uop &uop, int *entry) const;
+
+    /**
+     * Why freshly loaded state lies outside the configuration (a ROB
+     * window, queue, register map or slot index the core would index
+     * past), or nullptr when it is consistent.
+     */
+    const char *loadedStateError() const;
 
     /**
      * Report a change of physFree_/iqBusy_/lqBusy_/sqBusy_ to the
@@ -339,7 +372,7 @@ class OooCore
     std::uint32_t robCount_ = 0;
 
     dfi::FaultableArray iqArray_; //!< packed payload (injectable)
-    std::vector<bool> iqBusy_;
+    std::uint64_t iqBusy_ = 0;    //!< bit s: IQ slot s is occupied
 
     // Load/store queues: slot occupancy plus injectable data arrays.
     dfi::FaultableArray lsqData_; //!< unified (MARSS) data fields
@@ -349,15 +382,6 @@ class OooCore
 
     // Stall bookkeeping.
     std::uint64_t frontendStallUntil_ = 0;
-
-    // issueStage() scratch, sized once to iqEntries.  Not state: it is
-    // rebuilt every cycle and not serialized.
-    struct IssueCandidate
-    {
-        std::uint32_t slot;
-        std::uint64_t seq;
-    };
-    std::vector<IssueCandidate> issueCandidates_;
 
     // Not state: null except while a golden trace is being built.
     LivenessSink *livenessSink_ = nullptr;

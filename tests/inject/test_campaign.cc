@@ -8,15 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "gemsim/gefin.hh"
 #include "inject/campaign.hh"
 #include "inject/report.hh"
+#include "inject/telemetry.hh"
 #include "marssim/mafin.hh"
 
 namespace
@@ -343,6 +347,84 @@ TEST(Campaign, TimeoutBoundsRunLength)
         result.golden.cycles * 3.0);
     for (const auto &record : result.records)
         EXPECT_LE(record.cycles, bound + 2);
+}
+
+/** `v` without its volatile members (telemetry.hh), at any depth. */
+json::Value
+withoutVolatile(const json::Value &v)
+{
+    if (v.kind() == json::Kind::Object) {
+        json::Value out = json::Value::object();
+        for (const auto &[key, member] : v.members()) {
+            if (!isVolatileTelemetryKey(key))
+                out.set(key, withoutVolatile(member));
+        }
+        return out;
+    }
+    if (v.kind() == json::Kind::Array) {
+        json::Value out = json::Value::array();
+        for (std::size_t i = 0; i < v.size(); ++i)
+            out.push(withoutVolatile(v.at(i)));
+        return out;
+    }
+    return v;
+}
+
+/**
+ * FNV-1a over every non-volatile member of a campaign's runs and
+ * summary artifacts: what `dfi-diff --exact` compares.
+ */
+std::string
+stableTelemetryDigest(const CampaignResult &result)
+{
+    hash::Fnv1a digest;
+    auto fold = [&digest](const std::string &text) {
+        json::Value doc;
+        std::string error;
+        EXPECT_TRUE(json::parse(text, doc, error)) << error;
+        digest.update(withoutVolatile(doc).dump());
+    };
+    std::istringstream runs(result.telemetryRuns);
+    for (std::string line; std::getline(runs, line);)
+        fold(line);
+    fold(result.telemetrySummary);
+    return digest.hexDigest();
+}
+
+/**
+ * Issue-queue faults reach every check path of issueStage() (the
+ * payload's ROB index, the ROB match, the source registers) and the
+ * destination the payload carries to writeback, so their outcomes
+ * pin the issue stage's reads and checks.  600 unpruned runs per
+ * core; counts and digests were recorded before issueStage() walked
+ * the ROB in ring order instead of sorting, and must not move.
+ */
+TEST(Campaign, IssueQueueOutcomesArePinned)
+{
+    struct Pinned
+    {
+        const char *core;
+        // Masked, SDC, DUE, Timeout, Crash, Assert.
+        std::array<std::uint64_t, kNumOutcomeClasses> counts;
+        const char *digest;
+    };
+    const std::vector<Pinned> pins = {
+        {"marss-x86", {531, 20, 1, 0, 0, 48}, "9dd9cdf782e55f50"},
+        {"gem5-x86", {471, 68, 1, 21, 39, 0}, "4469c91d29c69765"},
+        {"gem5-arm", {443, 82, 1, 26, 48, 0}, "32ab42fe0260b960"},
+    };
+    for (const Pinned &pin : pins) {
+        CampaignConfig cfg = microConfig(pin.core, "issue_queue");
+        cfg.numInjections = 600;
+        cfg.prune = false;
+        cfg.telemetryCapture = true;
+        const CampaignResult result = InjectionCampaign(cfg).run();
+        ASSERT_EQ(result.records.size(), 600u) << pin.core;
+        Parser parser;
+        EXPECT_EQ(result.classify(parser).counts, pin.counts)
+            << pin.core;
+        EXPECT_EQ(stableTelemetryDigest(result), pin.digest) << pin.core;
+    }
 }
 
 TEST(Facades, MaFinPinsMarss)

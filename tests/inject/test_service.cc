@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -23,6 +24,8 @@
 #include "common/serial.hh"
 #include "inject/campaign.hh"
 #include "inject/service.hh"
+#include "isa/types.hh"
+#include "uarch/ooo_core.hh"
 
 namespace
 {
@@ -1138,6 +1141,244 @@ TEST(PreparedSerial, TruncatedStreamFailsInsteadOfLoading)
     std::string error;
     EXPECT_EQ(loadPreparedCampaign(cfg, reader, error), nullptr);
     EXPECT_FALSE(error.empty());
+}
+
+std::uint64_t
+getU64(const std::string &bytes, std::size_t pos)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, sizeof v);
+    return v;
+}
+
+template <class T>
+void
+put(std::string &bytes, std::size_t pos, T v)
+{
+    std::memcpy(bytes.data() + pos, &v, sizeof v);
+}
+
+std::string
+u64Bytes(std::uint64_t v)
+{
+    return std::string(reinterpret_cast<const char *>(&v), sizeof v);
+}
+
+/** Offset of one Uop field inside the Uop's archive record. */
+template <class T>
+std::size_t
+uopFieldOffset(T uarch::Uop::*field, T probe)
+{
+    uarch::Uop plain;
+    uarch::Uop probed;
+    probed.*field = probe;
+    serial::Writer a;
+    serial::Writer b;
+    plain.serializeState(a);
+    probed.serializeState(b);
+    const auto diff = std::mismatch(a.buffer().begin(), a.buffer().end(),
+                                    b.buffer().begin());
+    return static_cast<std::size_t>(diff.first - a.buffer().begin());
+}
+
+/**
+ * Where one snapshot core keeps its rename, ROB and IQ-occupancy
+ * state inside a prepared-state archive, found from the IQ payload
+ * array's geometry header (its 34-bit entries are unique to it) and
+ * the fixed order of OooCore::serializeState.
+ */
+struct CoreLayout
+{
+    // Byte offsets into the archive.
+    std::size_t commitMapEnd = 0; //!< one past commitMap_'s entries
+    std::size_t freeListEnd = 0;  //!< one past freeList_'s entries
+    std::size_t physReady = 0;    //!< physReady_'s length word
+    std::size_t rob = 0;          //!< first Uop record of rob_
+    std::size_t robHead = 0;      //!< robHead_; robCount_ follows
+    std::size_t iqBusy = 0;       //!< the IQ occupancy's length word
+    // Values.
+    std::size_t uopBytes = 0; //!< size of one Uop record
+    std::uint32_t head = 0;   //!< robHead_
+    std::uint32_t count = 0;  //!< robCount_
+};
+
+/**
+ * The first snapshot whose ROB is neither empty nor full and whose
+ * free list is not empty.
+ */
+bool
+findCoreLayout(const std::string &bytes, const uarch::CoreConfig &core,
+               CoreLayout &out)
+{
+    serial::Writer uop;
+    uarch::Uop().serializeState(uop);
+    out.uopBytes = uop.buffer().size();
+    const std::string iq_header =
+        u64Bytes(core.iqEntries) + u64Bytes(34);
+    const std::string lsq_header =
+        u64Bytes(core.lsqEntries) + u64Bytes(32);
+    for (std::size_t at = bytes.find(iq_header); at != std::string::npos;
+         at = bytes.find(iq_header, at + 1)) {
+        out.robHead = at - 8;
+        std::memcpy(&out.head, bytes.data() + at - 8, 4);
+        std::memcpy(&out.count, bytes.data() + at - 4, 4);
+        if (out.count == 0 || out.count >= core.robEntries)
+            continue;
+        out.rob = out.robHead - core.robEntries * out.uopBytes;
+        out.physReady = out.rob - 8 - (8 + core.numPhysInt);
+        const std::size_t phys_free = out.physReady - (8 + core.numPhysInt);
+        if (getU64(bytes, out.rob - 8) != core.robEntries ||
+            getU64(bytes, out.physReady) != core.numPhysInt ||
+            getU64(bytes, phys_free) != core.numPhysInt)
+            return false;
+        // The free list (a length word and 16-bit entries) ends where
+        // physFree_ starts; the commit map ends where it starts.
+        out.freeListEnd = phys_free;
+        std::uint64_t free_regs = 1;
+        while (free_regs <= core.numPhysInt &&
+               getU64(bytes, phys_free - 8 - 2 * free_regs) != free_regs)
+            ++free_regs;
+        if (free_regs > core.numPhysInt)
+            return false;
+        out.commitMapEnd = phys_free - 8 - 2 * free_regs;
+        if (getU64(bytes, out.commitMapEnd - 8 - 2 * isa::kNumArchRegs) !=
+            isa::kNumArchRegs)
+            return false;
+        // iqBusy_ is the length word, one 0/1 byte per slot, then the
+        // (unified) LSQ data array's geometry header.
+        const std::size_t busy_bytes = 8 + core.iqEntries;
+        for (std::size_t lsq = bytes.find(lsq_header, at + 16);
+             lsq != std::string::npos;
+             lsq = bytes.find(lsq_header, lsq + 1)) {
+            const std::size_t busy = lsq - busy_bytes;
+            if (getU64(bytes, busy) == core.iqEntries &&
+                std::all_of(bytes.begin() + busy + 8,
+                            bytes.begin() + lsq, [](char c) {
+                                return c == 0 || c == 1;
+                            })) {
+                out.iqBusy = busy;
+                return true;
+            }
+        }
+        return false;
+    }
+    return false;
+}
+
+/**
+ * A well-framed archive whose snapshot core holds state outside the
+ * configuration it loads under (a corrupt spill, or one written by a
+ * build whose core geometry differed) must be refused — a cold miss
+ * — not loaded into a core that would index past its ROB, queues or
+ * register maps.
+ */
+TEST(PreparedSerial, CoreStateOutsideTheConfigurationIsRefused)
+{
+    CampaignConfig cfg = smokeConfig();
+    uarch::CoreConfig core = uarch::coreConfigByName(cfg.coreName);
+    ASSERT_TRUE(core.unifiedLsq); // findCoreLayout reads the LSQ header
+
+    InjectionCampaign source(cfg);
+    serial::Writer writer;
+    savePreparedCampaign(*source.prepared(), writer);
+    const std::string archive = writer.buffer();
+    CoreLayout at;
+    ASSERT_TRUE(findCoreLayout(archive, core, at));
+
+    auto loads = [&cfg](const std::string &bytes, std::string &error) {
+        serial::Reader reader(bytes);
+        return loadPreparedCampaign(cfg, reader, error) != nullptr;
+    };
+    std::string error;
+    ASSERT_TRUE(loads(archive, error)) << error;
+
+    const std::uint32_t outside = (at.head + at.count) % core.robEntries;
+    auto uop_field = [&at](std::uint32_t slot, std::size_t offset) {
+        return at.rob + slot * at.uopBytes + offset;
+    };
+    const std::size_t valid = uopFieldOffset(&uarch::Uop::valid, true);
+    const std::size_t iq_slot = uopFieldOffset(&uarch::Uop::iqSlot, 7);
+    const std::size_t lsq_slot = uopFieldOffset(&uarch::Uop::lsqSlot, 7);
+    const std::size_t arch_dst =
+        uopFieldOffset(&uarch::Uop::archDst, std::uint8_t{1});
+    const std::size_t is_load = uopFieldOffset(&uarch::Uop::isLoad, true);
+    const std::size_t mem_width =
+        uopFieldOffset(&uarch::Uop::memWidth, std::uint8_t{8});
+    auto shorten = [&archive](std::size_t length_word) {
+        std::string bytes = archive;
+        put(bytes, length_word, getU64(bytes, length_word) - 1);
+        bytes.erase(length_word + 8, 1);
+        return bytes;
+    };
+
+    struct Case
+    {
+        const char *what;
+        std::string bytes;
+    };
+    std::vector<Case> cases;
+    auto patched = [&](const char *what, auto patch) {
+        std::string bytes = archive;
+        patch(bytes);
+        cases.push_back({what, std::move(bytes)});
+    };
+    patched("ROB head past the ring", [&](std::string &b) {
+        put(b, at.robHead, core.robEntries);
+    });
+    patched("ROB count above capacity", [&](std::string &b) {
+        put(b, at.robHead + 4, core.robEntries + 1);
+    });
+    patched("valid entry outside the window", [&](std::string &b) {
+        b[uop_field(outside, valid)] = 1;
+    });
+    patched("invalid entry inside the window", [&](std::string &b) {
+        b[uop_field(at.head, valid)] = 0;
+    });
+    patched("IQ slot out of range", [&](std::string &b) {
+        put(b, uop_field(at.head, iq_slot),
+            static_cast<int>(core.iqEntries));
+    });
+    patched("LSQ slot out of range", [&](std::string &b) {
+        put(b, uop_field(at.head, lsq_slot),
+            static_cast<int>(core.lsqEntries));
+    });
+    patched("unknown architectural register", [&](std::string &b) {
+        b[uop_field(at.head, arch_dst)] =
+            static_cast<char>(isa::kNumArchRegs);
+    });
+    patched("load wider than a word", [&](std::string &b) {
+        b[uop_field(at.head, is_load)] = 1;
+        b[uop_field(at.head, mem_width)] = 8;
+    });
+    patched("free-list entry out of range", [&](std::string &b) {
+        put(b, at.freeListEnd - 2,
+            static_cast<std::uint16_t>(core.numPhysInt));
+    });
+    patched("commit-map entry out of range", [&](std::string &b) {
+        put(b, at.commitMapEnd - 2,
+            static_cast<std::uint16_t>(core.numPhysInt));
+    });
+    cases.push_back({"IQ occupancy shorter than iqEntries",
+                     shorten(at.iqBusy)});
+    cases.push_back({"physReady_ shorter than numPhysInt",
+                     shorten(at.physReady)});
+
+    for (const Case &c : cases) {
+        std::string why;
+        EXPECT_FALSE(loads(c.bytes, why)) << c.what;
+        EXPECT_NE(why.find("core:"), std::string::npos)
+            << c.what << ": " << why;
+    }
+
+    // A stream written under another ROB size: every length is
+    // well framed, but rob_ no longer has robEntries entries.
+    CampaignConfig smaller = cfg;
+    smaller.configTweak = [](uarch::CoreConfig &c) { c.robEntries = 32; };
+    InjectionCampaign other(smaller);
+    serial::Writer other_writer;
+    savePreparedCampaign(*other.prepared(), other_writer);
+    EXPECT_FALSE(loads(other_writer.buffer(), error));
+    EXPECT_NE(error.find("core:"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------
