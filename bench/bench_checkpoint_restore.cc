@@ -3,8 +3,10 @@
  * Measures the checkpoint fast path: restoring a run from a COW
  * snapshot costs O(state the run touches), not O(core size).
  *
- * For each cache scale the bench prepares a campaign (one golden
- * pass captures the snapshots), then times
+ * For each cache scale the bench prepares a campaign and builds the
+ * checkpoint store its faulty runs restore from
+ * (PreparedCampaign::refined(), a replay of the golden run), then
+ * times
  *   - copy-only restores (clone a worker core off a snapshot), and
  *   - restore + K ticks (the pages a short run actually dirties),
  * against the conservative per-snapshot state bound.  The copy-only
@@ -21,6 +23,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 
 #include "common/config.hh"
 #include "common/stats.hh"
@@ -61,8 +64,9 @@ main()
         cfg.component = "l1d";
         cfg.cacheScale = scale;
         InjectionCampaign campaign(cfg);
-        (void)campaign.golden();
-        const CheckpointStore &store = campaign.checkpoints();
+        const std::shared_ptr<const CheckpointStore> refined =
+            campaign.prepared()->refined();
+        const CheckpointStore &store = *refined;
         const std::uint64_t mid_cycle =
             store.cycles().back() / 2 + 1;
 

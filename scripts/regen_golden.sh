@@ -21,7 +21,9 @@
 #           path leaves the artifacts byte-identical,
 #           `--no-prune` for a leg proving equivalence pruning never
 #           changes the classification output (exact-diff equal; the
-#           volatile prune bookkeeping fields are skipped), and
+#           volatile prune bookkeeping fields are skipped),
+#           `--checkpoints 6 --no-prune` for a leg whose every run
+#           restores from a store other than the default one, and
 #           `--shard I/N` for the shard-merge leg.
 #
 # Environment:

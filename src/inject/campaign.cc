@@ -33,11 +33,20 @@ namespace
 constexpr std::uint64_t kAbsoluteCycleCap = 200'000'000;
 
 /**
- * The dense checkpoint store's least target count: one snapshot every
- * 512-1,024 cycles on the benchmark programs, so a run re-simulates
- * at most that much of the golden run before its flip.
+ * The store a prepared state keeps: `cfg`'s checkpoint policy and the
+ * base snapshot of `core`, a reset core.
  */
-constexpr std::uint32_t kDenseCheckpoints = 64;
+CheckpointStore
+baseStore(const CampaignConfig &cfg, const uarch::OooCore &core)
+{
+    CheckpointPolicy policy;
+    policy.enabled = cfg.useCheckpoints;
+    policy.targetCount = cfg.checkpointCount;
+    policy.budgetBytes = cfg.checkpointMemBudgetMB * 1024 * 1024;
+    CheckpointStore store(policy);
+    store.captureBase(core);
+    return store;
+}
 
 bool
 knownName(const std::vector<std::string> &names,
@@ -133,17 +142,12 @@ CampaignConfig::cacheKey() const
 {
     // The deterministic identity of a campaign is exactly its
     // telemetry config echo (every outcome-relevant field, no
-    // execution-strategy knobs).  The checkpoint knobs are appended
-    // because this key once named the prepared state too; they stay
-    // so response memos already on disk keep their names.  A format
-    // tag leads so a future key-derivation change re-keys every
+    // execution-strategy knobs such as the checkpoint ones).  A
+    // format tag leads so a key-derivation change re-keys every
     // entry cleanly.
     hash::Fnv1a hasher;
-    hasher.update(std::string_view("dfi-cache-key-v1"));
+    hasher.update(std::string_view("dfi-cache-key-v2"));
     hasher.update(telemetryConfigEcho(*this).dump());
-    hasher.update(static_cast<std::uint64_t>(useCheckpoints ? 1 : 0));
-    hasher.update(static_cast<std::uint64_t>(checkpointCount));
-    hasher.update(checkpointMemBudgetMB);
     return hasher.hexDigest();
 }
 
@@ -243,7 +247,9 @@ bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg)
     flags.flag("--no-checkpoints", "always start runs from reset",
                [&cfg] { cfg.useCheckpoints = false; });
     flags.uint32("--checkpoints", "N",
-                 "target live checkpoint count\n(default 6)",
+                 "target count of the checkpoints runs\n"
+                 "restore from (default " +
+                     std::to_string(cfg.checkpointCount) + ")",
                  &cfg.checkpointCount);
     flags.uint64("--checkpoint-budget", "MB",
                  "checkpoint memory budget in MiB\n"
@@ -328,19 +334,18 @@ PreparedCampaign::refined() const
     std::shared_ptr<CheckpointStore> built;
     std::uint64_t held = 0;
     try {
-        CheckpointPolicy policy = checkpoints.policy();
-        policy.targetCount =
-            std::max(policy.targetCount, kDenseCheckpoints);
-        built = std::make_shared<CheckpointStore>(policy);
+        built = std::make_shared<CheckpointStore>(checkpoints.policy());
         uarch::OooCore core = checkpoints.sourceFor(0);
         built->captureBase(core);
-        // The golden pass again, observed the way prepare() observes
-        // it: every snapshot is the golden core at its cycle.
+        // The golden run again, observed every tick: every snapshot
+        // is the golden core at its cycle.  A replay that runs past
+        // the golden run or ends short of it means the prepared state
+        // was not what prepare() produced.
         if (built->maxLiveSnapshots() > 1) {
-            while (core.tick())
+            while (core.cycle() <= golden.cycles && core.tick())
                 built->observe(core);
             if (core.cycle() != golden.cycles)
-                panic("checkpoint replay ended at cycle %s, the golden "
+                fatal("checkpoint replay ended at cycle %s, the golden "
                       "run at %s",
                       core.cycle(), golden.cycles);
         }
@@ -381,7 +386,7 @@ PreparedCampaign::approxBytes() const
     std::uint64_t bytes = sizeof(PreparedCampaign);
     bytes += image.code.size() + image.data.size();
     bytes += expectedOutput.size() + golden.output.size();
-    bytes += checkpoints.count() * checkpoints.snapshotBoundBytes();
+    bytes += checkpoints.snapshotBoundBytes();
     std::lock_guard<std::mutex> lock(memo_.mu);
     return bytes + memo_.bytes + memo_.refinedBytes;
 }
@@ -389,13 +394,14 @@ PreparedCampaign::approxBytes() const
 void
 savePreparedCampaign(const PreparedCampaign &prep, serial::Writer &writer)
 {
-    // Writer archives never mutate (common/serial.hh); the const_cast
-    // only satisfies the shared save/load serializeState signature.
+    // Writer archives never mutate (common/serial.hh); the const_casts
+    // only satisfy the shared save/load serializeState signature.
     auto &mutable_prep = const_cast<PreparedCampaign &>(prep);
     serial::value(writer, mutable_prep.image);
     serial::value(writer, mutable_prep.expectedOutput);
     serial::value(writer, mutable_prep.golden);
-    prep.checkpoints.saveState(writer);
+    serial::value(writer, const_cast<uarch::OooCore &>(
+                              prep.checkpoints.sourceFor(0)));
 }
 
 std::shared_ptr<const PreparedCampaign>
@@ -421,11 +427,29 @@ loadPreparedCampaign(const CampaignConfig &cfg, serial::Reader &reader,
         error = "prepared-state stream targets a different ISA";
         return nullptr;
     }
-    prep->checkpoints.loadState(reader, core_cfg, prep->image);
+    // What prepare() refuses, a load refuses too: the campaign would
+    // otherwise trust a golden run it could never have recorded.
+    const syskit::RunRecord &golden = prep->golden;
+    if (golden.term != syskit::Termination::Exited ||
+        golden.cycles == 0 || golden.cycles > kAbsoluteCycleCap ||
+        golden.output != prep->expectedOutput) {
+        error = "prepared-state stream holds a golden run prepare() "
+                "would have refused";
+        return nullptr;
+    }
+    uarch::OooCore core(core_cfg, prep->image);
+    serial::value(reader, core);
     if (!reader.ok()) {
         error = reader.error();
         return nullptr;
     }
+    if (core.cycle() != 0 || core.committedInstructions() != 0 ||
+        core.finished()) {
+        error = "prepared-state stream holds a core that is not a "
+                "reset core";
+        return nullptr;
+    }
+    prep->checkpoints = baseStore(cfg, core);
     return prep;
 }
 
@@ -461,23 +485,16 @@ InjectionCampaign::prepare()
     prep->image = ir::compileModule(bench.module, core_cfg.isa,
                                     0x200000);
 
-    // Single full-program pass: the golden reference and the restore
-    // checkpoints are captured together.  Snapshots are COW-backed
-    // core copies, so each capture copies page tables, not pages.
-    CheckpointPolicy checkpoint_policy;
-    checkpoint_policy.enabled = cfg_.useCheckpoints;
-    checkpoint_policy.targetCount = cfg_.checkpointCount;
-    checkpoint_policy.budgetBytes =
-        cfg_.checkpointMemBudgetMB * 1024 * 1024;
-    prep->checkpoints = CheckpointStore(checkpoint_policy);
-
+    // The golden pass.  The store keeps only the base snapshot, a COW
+    // copy of the reset core: refined() replays the run from it to
+    // capture the snapshots runs restore from, trace() to record a
+    // component's trace.
     uarch::OooCore core(core_cfg, prep->image);
-    prep->checkpoints.captureBase(core);
+    prep->checkpoints = baseStore(cfg_, core);
     while (core.tick()) {
         if (core.cycle() > kAbsoluteCycleCap)
             fatal("golden run of '%s' on '%s' exceeded the cycle cap",
                   cfg_.benchmark, cfg_.coreName);
-        prep->checkpoints.observe(core);
     }
     prep->golden = core.record();
     if (prep->golden.term != syskit::Termination::Exited)
@@ -536,7 +553,7 @@ InjectionCampaign::runOne(const std::vector<FaultMask> &masks,
     for (const FaultMask &mask : masks)
         task.firstCycle = std::min(task.firstCycle, mask.cycle);
 
-    useDenseCheckpoints();
+    useRefined();
     const TaskResult result = runTask(task);
     if (simulated_cycles != nullptr)
         *simulated_cycles = result.simulatedCycles;
@@ -544,13 +561,13 @@ InjectionCampaign::runOne(const std::vector<FaultMask> &masks,
 }
 
 void
-InjectionCampaign::useDenseCheckpoints()
+InjectionCampaign::useRefined()
 {
     // Checked per call, not per prepared state: whether an earlier
-    // campaign built the dense store must never decide which cycles
+    // campaign built the restore store must never decide which cycles
     // this one simulates.
-    if (cfg_.useCheckpoints && dense_ == nullptr)
-        dense_ = prep_->refined();
+    if (cfg_.useCheckpoints && refined_ == nullptr)
+        refined_ = prep_->refined();
 }
 
 TaskResult
@@ -568,7 +585,7 @@ InjectionCampaign::runTask(const RunTask &task) const
     // the snapshot's COW pages, so its cost tracks the state the run
     // goes on to touch, not the core size.
     const CheckpointStore &store =
-        dense_ != nullptr ? *dense_ : prep_->checkpoints;
+        refined_ != nullptr ? *refined_ : prep_->checkpoints;
     const auto restore_started = std::chrono::steady_clock::now();
     uarch::OooCore core = store.sourceFor(first_cycle);
     const std::uint64_t restore_micros = static_cast<std::uint64_t>(
@@ -772,10 +789,10 @@ InjectionCampaign::run(const Progress &progress)
         plan = plan.withoutRuns(completed);
     }
 
-    // Runs restore from the dense store, built once per prepared
-    // state and only for a plan that simulates something.
+    // Runs restore from refined(), built once per prepared state and
+    // only for a plan that simulates something.
     if (plan.numRuns() > 0)
-        useDenseCheckpoints();
+        useRefined();
 
     // Execute: serial or thread pool per cfg_.jobs; either way the
     // results come back in runId order.

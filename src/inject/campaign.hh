@@ -4,12 +4,11 @@
  * Fig. 1).
  *
  * The controller owns a complete campaign: it runs the golden
- * (fault-free) reference — capturing interval checkpoints of the
- * simulator during that same single pass (the paper's use of the
- * simulators' checkpointing to speed up campaigns; see
- * inject/checkpoint.hh) — asks the Fault Mask Generator for masks,
- * and drives one
- * faulty run per mask group through the dispatcher, which applies the
+ * (fault-free) reference, asks the Fault Mask Generator for masks,
+ * and drives one faulty run per mask group through the dispatcher.
+ * Each run restores from a simulator checkpoint before its injection
+ * (the paper's use of the simulators' checkpointing to speed up
+ * campaigns; see inject/checkpoint.hh).  The dispatcher applies the
  * masks to the core's storage arrays and implements the two
  * early-stop optimizations of Section III.B:
  *
@@ -137,7 +136,14 @@ struct CampaignConfig
     bool earlyStopInvalidEntry = true;
     bool earlyStopOverwrite = true;
     bool useCheckpoints = true;
-    std::uint32_t checkpointCount = 6;
+
+    /**
+     * Snapshots the checkpoint store faulty runs restore from
+     * converges on (CLI `--checkpoints`): [N, 2N) evenly spaced over
+     * the golden run, fewer when the budget below binds.  See
+     * inject/checkpoint.hh.
+     */
+    std::uint32_t checkpointCount = 64;
 
     /**
      * Checkpoint memory budget in MiB (0 = unlimited).  Snapshots
@@ -217,10 +223,10 @@ struct CampaignConfig
      * response memo (with `prune` folded in by the service): a
      * stable FNV-1a digest (16 hex digits) of every outcome-relevant
      * field — exactly the telemetry config echo (program, core
-     * model, fault selection, seed, ...) — plus the checkpoint
-     * knobs.  Pure execution/reporting knobs (jobs, telemetry paths,
-     * shard, resume, prune) are excluded.  It is not the key of the
-     * prepared state: that is prepKey(), which many campaigns share.
+     * model, fault selection, seed, ...).  Pure execution/reporting
+     * knobs (jobs, checkpoints, telemetry paths, shard, resume,
+     * prune) are excluded.  It is not the key of the prepared state:
+     * that is prepKey(), which many campaigns share.
      * Stable across processes and hosts; `configTweak` is not
      * hashable and must be unset when keys are compared.
      */
@@ -250,24 +256,25 @@ struct CampaignConfig
 /**
  * Register the campaign flags dfi-campaign and dfi-serve share, each
  * bound straight to its field of `cfg`, which must outlive `flags`.
- * The `--jobs` help states `cfg.jobs` as the default, so set the
- * tool's default first.  A tool may reopen a section afterwards.
+ * The `--jobs` and `--checkpoints` help state `cfg`'s values as the
+ * defaults, so set the tool's defaults first.  A tool may reopen a
+ * section afterwards.
  */
 void bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg);
 
 /**
  * The immutable artifacts of a campaign's preparation pass: the
  * compiled program image, the golden (fault-free) reference run, and
- * the checkpoint store captured during that same single pass.  They
- * are a pure function of (benchmark, scale, core model, cache scale,
- * checkpoint knobs) — none of the fault-selection fields — so any
- * number of campaigns whose CampaignConfig::prepKey() matches may
- * share one instance: every consumer only ever copy-constructs
- * private cores from the const checkpoint snapshots, which is
- * already the executor's thread-safety contract.
+ * the reset core that run started from.  They are a pure function of
+ * (benchmark, scale, core model, cache scale, checkpoint knobs) —
+ * none of the fault-selection fields — so any number of campaigns
+ * whose CampaignConfig::prepKey() matches may share one instance:
+ * every consumer only ever copy-constructs private cores from const
+ * checkpoint snapshots, which is already the executor's
+ * thread-safety contract.
  *
  * The golden traces that classification reads (inject/prune.hh) and
- * the dense checkpoint store that faulty runs restore from are a pure
+ * the checkpoint store that faulty runs restore from are a pure
  * function of the same state, so the prepared state memoizes them
  * (trace(), refined()) and stays a shareable value.
  */
@@ -278,26 +285,28 @@ struct PreparedCampaign
     syskit::RunRecord golden;
 
     /**
-     * The snapshots prepare() captures during the golden pass, at the
-     * `--checkpoints` target.  They seed refined() and the disk spill.
+     * The campaign's checkpoint policy and its base (cycle-0)
+     * snapshot, the one core the disk spill holds.  Nothing else:
+     * trace() and refined() start from a copy of that snapshot.
      */
     CheckpointStore checkpoints;
 
     /**
-     * The dense checkpoint store faulty runs restore from: the coarse
-     * store's policy (budget included) at a target of at least 64
-     * snapshots, captured by replaying the golden run from a copy of
-     * the base snapshot.  Built on first use, single-flight
-     * like trace(); never serialized.  A policy that affords only the
-     * base snapshot (checkpoints off, or a budget below two
-     * snapshots) skips the replay.
+     * The checkpoint store faulty runs restore from: the policy of
+     * `checkpoints` (the `--checkpoints` target and the budget),
+     * captured by replaying the golden run from a copy of the base
+     * snapshot.  Built on first use, single-flight like trace();
+     * never serialized.  A policy that affords only the base
+     * snapshot (checkpoints off, or a budget below two snapshots)
+     * skips the replay.  A replay that does not end at the golden
+     * run's cycle is a fatal() error.
      */
     std::shared_ptr<const CheckpointStore> refined() const;
 
-    /** Dense stores built so far (failed builds not counted). */
+    /** refined() stores built so far (failed builds not counted). */
     std::uint64_t refines() const;
 
-    /** Bytes the dense store keeps alive (CheckpointStore::heldBytes). */
+    /** Bytes refined() keeps alive (CheckpointStore::heldBytes). */
     std::uint64_t refinedBytes() const;
 
     /**
@@ -322,12 +331,11 @@ struct PreparedCampaign
 
     /**
      * Resident-footprint estimate in bytes (the service's LRU budget
-     * accounting), traces and dense store included.  The coarse
-     * snapshots are charged at the per-snapshot bound even though COW
-     * sharing usually keeps the true footprint lower; the dense store
-     * at the bytes it holds.  Takes the memo's lock, so a caller may
-     * hold its own lock around it as long as no build ever waits on
-     * that lock.
+     * accounting), traces and refined() store included.  The base
+     * snapshot is charged at the per-snapshot bound, the refined()
+     * store at the bytes it holds.  Takes the memo's lock, so a
+     * caller may hold its own lock around it as long as no build ever
+     * waits on that lock.
      */
     std::uint64_t approxBytes() const;
 
@@ -337,8 +345,8 @@ struct PreparedCampaign
         bool building = false;
         std::shared_ptr<const GoldenTrace> trace;
     };
-    /** The memo of traces and dense store: mutable cache state beside
-     *  the immutable artifacts, guarded by `mu`. */
+    /** The memo of traces and refined() store: mutable cache state
+     *  beside the immutable artifacts, guarded by `mu`. */
     struct Memo
     {
         std::mutex mu;
@@ -357,19 +365,23 @@ struct PreparedCampaign
 
 /**
  * Serialize prepared artifacts for the service's disk cache
- * (common/serial.hh).  The stream carries only dynamic state; loading
- * reconstructs the snapshot cores from the config named by `cfg`, so
- * a stream is only meaningful under the prepKey() that produced it —
- * pairing stream and config is the caller's contract (the service
- * names spill files by prepKey()).
+ * (common/serial.hh): image, expected output, golden record and the
+ * base core.  The stream carries only dynamic state; loading
+ * reconstructs the core from the config named by `cfg`, so a stream
+ * is only meaningful under the prepKey() that produced it — pairing
+ * stream and config is the caller's contract (the service names
+ * spill files by prepKey()).
  */
 void savePreparedCampaign(const PreparedCampaign &prep,
                           serial::Writer &writer);
 
 /**
- * Rebuild prepared artifacts from a savePreparedCampaign() stream.
- * Returns nullptr (and sets `error`) on any mismatch or truncation;
- * `cfg` must not carry a configTweak (not serializable).
+ * Rebuild prepared artifacts from a savePreparedCampaign() stream,
+ * with `cfg`'s checkpoint policy: no policy is read from the stream.
+ * Returns nullptr (and sets `error`) on any mismatch or truncation,
+ * and on state prepare() could not have produced: a golden record it
+ * would have refused, or a core that is not a reset core.  `cfg`
+ * must not carry a configTweak (not serializable).
  */
 std::shared_ptr<const PreparedCampaign>
 loadPreparedCampaign(const CampaignConfig &cfg, serial::Reader &reader,
@@ -498,7 +510,7 @@ class InjectionCampaign
 
     /**
      * Run the whole campaign.  A plan that simulates at least one run
-     * first builds the prepared state's dense checkpoint store
+     * first builds the prepared state's restore store
      * (PreparedCampaign::refined()) unless checkpoints are off, and
      * every task restores from it.
      */
@@ -506,48 +518,35 @@ class InjectionCampaign
 
     /**
      * Run a single fault group (exposed for tests and directed
-     * studies), restoring from the dense store as run() does.
-     * `masks` must share one runId.
+     * studies), restoring from refined() as run() does.  `masks` must
+     * share one runId.
      */
     syskit::RunRecord runOne(const std::vector<dfi::FaultMask> &masks,
                              std::uint64_t *simulated_cycles = nullptr);
 
     /**
      * Execute one planned task (the executor layer's TaskRunner),
-     * restoring from the dense store once run() or runOne() built it
-     * and from the coarse one before.  Requires golden() to have run;
+     * restoring from refined() once run() or runOne() built it and
+     * from the base snapshot before.  Requires golden() to have run;
      * after that it only reads shared immutable state (config, image,
      * const checkpoints), so any number of threads may call it
      * concurrently.
      */
     TaskResult runTask(const RunTask &task) const;
 
-    /**
-     * The coarse checkpoint store prepare() captured (exposed for
-     * tests and benches).  Valid after golden()/run() has prepared
-     * the campaign.
-     */
-    const CheckpointStore &checkpoints() const
-    {
-        if (prep_ == nullptr)
-            panic("checkpoints() before prepare(): run golden() "
-                  "first");
-        return prep_->checkpoints;
-    }
-
   private:
     void prepare();
 
-    /** Restore from the dense store from now on, unless checkpoints
-     *  are off. */
-    void useDenseCheckpoints();
+    /** Restore from refined() from now on, unless checkpoints are
+     *  off. */
+    void useRefined();
 
     /** Resolve the full (unsharded) plan; requires prepare(). */
     CampaignPlan makePlan() const;
 
     CampaignConfig cfg_;
     std::shared_ptr<const PreparedCampaign> prep_; //!< set by prepare()
-    std::shared_ptr<const CheckpointStore> dense_; //!< prep_->refined()
+    std::shared_ptr<const CheckpointStore> refined_; //!< prep_->refined()
 };
 
 } // namespace dfi::inject

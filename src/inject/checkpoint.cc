@@ -103,83 +103,12 @@ CheckpointStore::sourceFor(std::uint64_t cycle) const
 std::uint64_t
 CheckpointStore::heldBytes() const
 {
+    // A counting writer never mutates what it serializes; the
+    // const_cast only satisfies the shared save/load signature.
     serial::Writer counter(serial::Writer::kCountOnly);
-    saveState(counter);
-    return counter.size();
-}
-
-namespace
-{
-/** Backstop against nonsense snapshot counts in a corrupt stream. */
-constexpr std::uint64_t kMaxSnapshotsOnLoad = 4096;
-} // namespace
-
-void
-CheckpointStore::saveState(serial::Writer &writer) const
-{
-    serial::value(writer, const_cast<bool &>(policy_.enabled));
-    serial::value(writer, const_cast<std::uint32_t &>(policy_.targetCount));
-    serial::value(writer, const_cast<std::uint64_t &>(policy_.budgetBytes));
-    serial::value(writer,
-                  const_cast<std::uint64_t &>(policy_.initialInterval));
-    serial::value(writer, const_cast<std::vector<std::uint64_t> &>(cycles_));
-    serial::value(writer, const_cast<std::uint64_t &>(interval_));
-    serial::value(writer, const_cast<std::uint64_t &>(next_));
-    serial::value(writer, const_cast<std::uint64_t &>(snapshotBytes_));
-    std::uint64_t max_live = maxLive_;
-    serial::value(writer, max_live);
-    serial::value(writer, const_cast<bool &>(budgetLimited_));
-    std::uint64_t count = snapshots_.size();
-    serial::value(writer, count);
-    // Writer::kSaving archives never mutate; the const_casts above and
-    // below only satisfy the shared save/load signature.
     for (const auto &snapshot : snapshots_)
-        const_cast<uarch::OooCore &>(*snapshot).serializeState(writer);
-}
-
-void
-CheckpointStore::loadState(serial::Reader &reader,
-                           const uarch::CoreConfig &config,
-                           const isa::Image &image)
-{
-    snapshots_.clear();
-    cycles_.clear();
-    serial::value(reader, policy_.enabled);
-    serial::value(reader, policy_.targetCount);
-    serial::value(reader, policy_.budgetBytes);
-    serial::value(reader, policy_.initialInterval);
-    serial::value(reader, cycles_);
-    serial::value(reader, interval_);
-    serial::value(reader, next_);
-    serial::value(reader, snapshotBytes_);
-    std::uint64_t max_live = 0;
-    serial::value(reader, max_live);
-    maxLive_ = static_cast<std::size_t>(max_live);
-    serial::value(reader, budgetLimited_);
-    std::uint64_t count = 0;
-    serial::value(reader, count);
-    if (!reader.ok())
-        return;
-    if (count == 0 || count > kMaxSnapshotsOnLoad ||
-        count != cycles_.size()) {
-        reader.fail("checkpoint store: inconsistent snapshot count");
-        cycles_.clear();
-        return;
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!reader.ok()) {
-            snapshots_.clear();
-            cycles_.clear();
-            return;
-        }
-        auto core = std::make_shared<uarch::OooCore>(config, image);
-        core->serializeState(reader);
-        snapshots_.push_back(std::move(core));
-    }
-    if (!reader.ok()) {
-        snapshots_.clear();
-        cycles_.clear();
-    }
+        const_cast<uarch::OooCore &>(*snapshot).serializeState(counter);
+    return counter.size();
 }
 
 } // namespace dfi::inject

@@ -1,13 +1,12 @@
 /**
  * @file
- * Checkpoint store: single-pass snapshot capture for injection runs.
+ * Checkpoint store: snapshot capture for injection runs.
  *
  * The paper's campaigns only scale because a faulty run restarts from
  * a simulator checkpoint near its injection cycle instead of from
- * reset.  This store captures those snapshots *during* the golden
- * pass — prepare() performs exactly one full-program simulation — by
- * observing the golden core every cycle and snapshotting it at an
- * adaptive interval:
+ * reset.  This store captures those snapshots while a golden run
+ * plays, by observing the golden core every cycle and snapshotting it
+ * at an adaptive interval:
  *
  *  - capture starts at a small interval (the golden run length is
  *    unknown in advance);
@@ -32,10 +31,11 @@
  * golden run — never of wall-clock or thread timing — so campaign
  * results stay bit-identical for every budget and `--jobs` value.
  *
- * A prepared campaign holds two stores with the same policy but for
- * the target count: the coarse one prepare() captures (spilled with
- * the prepared state), and a dense one that faulty runs restore from,
- * replayed on first use (PreparedCampaign::refined()).
+ * A prepared campaign keeps only the base (reset) snapshot of a store
+ * with the campaign's policy, the one core its disk spill holds.
+ * Faulty runs restore from the store a replay of the golden run from
+ * that snapshot captures under the same policy, built on first use
+ * (PreparedCampaign::refined()).
  */
 
 #ifndef DFI_INJECT_CHECKPOINT_HH
@@ -45,21 +45,9 @@
 #include <memory>
 #include <vector>
 
-namespace dfi::isa
-{
-struct Image;
-} // namespace dfi::isa
-
-namespace dfi::serial
-{
-class Reader;
-class Writer;
-} // namespace dfi::serial
-
 namespace dfi::uarch
 {
 class OooCore;
-struct CoreConfig;
 } // namespace dfi::uarch
 
 namespace dfi::inject
@@ -72,7 +60,7 @@ struct CheckpointPolicy
     bool enabled = true;
 
     /** Snapshots to converge on (beyond the base one). */
-    std::uint32_t targetCount = 6;
+    std::uint32_t targetCount = 64;
 
     /**
      * Total snapshot memory budget in bytes, charged at the
@@ -84,7 +72,7 @@ struct CheckpointPolicy
     std::uint64_t initialInterval = 64;
 };
 
-/** Captures during the golden pass, serves restores during runs. */
+/** Captures while a golden run plays, serves restores during runs. */
 class CheckpointStore
 {
   public:
@@ -121,9 +109,6 @@ class CheckpointStore
 
     const CheckpointPolicy &policy() const { return policy_; }
 
-    /** Current capture spacing in cycles. */
-    std::uint64_t interval() const { return interval_; }
-
     /** Per-snapshot byte bound used for budget accounting. */
     std::uint64_t snapshotBoundBytes() const { return snapshotBytes_; }
 
@@ -134,27 +119,11 @@ class CheckpointStore
     bool budgetLimited() const { return budgetLimited_; }
 
     /**
-     * Bytes the snapshots keep alive: the saveState() archive size,
-     * each COW page counted once however many snapshots share it.
+     * Bytes the snapshots keep alive: the size of their archive
+     * (OooCore::serializeState into one counting writer), each COW
+     * page counted once however many snapshots share it.
      */
     std::uint64_t heldBytes() const;
-
-    /**
-     * Serialize the store (policy echo, schedule, every snapshot) for
-     * the service's disk cache.  Snapshot cores are written with COW
-     * page interning, so shared pages cost their bytes once.
-     */
-    void saveState(serial::Writer &writer) const;
-
-    /**
-     * Rebuild the store from a stream produced by saveState().  Each
-     * snapshot is constructed fresh from (config, image) — the same
-     * pair the saved cores were built from — and its dynamic state
-     * overwritten.  On failure the reader's ok() turns false and the
-     * store is left empty.
-     */
-    void loadState(serial::Reader &reader, const uarch::CoreConfig &config,
-                   const isa::Image &image);
 
   private:
     void thin();

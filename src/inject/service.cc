@@ -415,7 +415,7 @@ namespace
 {
 
 /** Version tags for the two disk-cache file formats. */
-constexpr const char *kPrepCacheTag = "dfi-prep-cache-v2";
+constexpr const char *kPrepCacheTag = "dfi-prep-cache-v3";
 constexpr const char *kResponseCacheKind = "dfi-response-cache-v1";
 
 /** True when the failpoint fires with an Error action. */
@@ -976,9 +976,8 @@ CampaignService::execute(const ServiceRequest &request,
         // with the error instead of leaving them blocked forever.
         publishFlight(prep_key, *flight, nullptr, response.error);
     }
-    // The request may have built a golden trace or the dense
-    // checkpoint store on the shared preparation; charge it to the
-    // budget.
+    // The request may have built a golden trace or the restore
+    // store on the shared preparation; charge it to the budget.
     if (prep != nullptr && cache_enabled)
         cacheRecharge(prep);
     return response;

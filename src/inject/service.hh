@@ -14,18 +14,18 @@
  *    CampaignConfig::prepKey(), which hashes only what prepare()
  *    reads: any request on an already-prepared program — whatever
  *    its structure, fault model or seed — adopts the cached
- *    PreparedCampaign (golden run + checkpoints) and skips prepare()
+ *    PreparedCampaign (golden run + base snapshot) and skips prepare()
  *    entirely, going straight to plan/execute.  The response memo
  *    below is keyed by the whole campaign (cacheKey() plus prune);
  *  - cached preparations live in an LRU keyed by a byte budget
  *    (Options::cacheBudgetBytes), charged at
  *    PreparedCampaign::approxBytes(); cold entries evict first.  A
  *    prepared state's golden traces (one per component, built by the
- *    first pruned request that needs it) and its dense checkpoint
- *    store (built by the first request that simulates a run) live
- *    and die with it: each executed request re-charges its entry, so
- *    they count against the budget, and they are never spilled to
- *    disk;
+ *    first pruned request that needs it) and the checkpoint store
+ *    runs restore from (built by the first request that simulates a
+ *    run) live and die with it: each executed request re-charges its
+ *    entry, so they count against the budget, and they are never
+ *    spilled to disk;
  *  - preparation is single-flight: when several racing requests miss
  *    on the same prepKey(), exactly one (the leader) runs prepare()
  *    and the rest block until the shared artifacts are published —
@@ -246,10 +246,10 @@ class CampaignService
         /** Bytes of golden traces charged to the cached entries. */
         std::uint64_t traceBytes = 0;
 
-        /** Dense checkpoint stores built by cached prepared states. */
+        /** Restore stores (refined()) built by cached prepared states. */
         std::uint64_t refines = 0;
 
-        /** Bytes of dense stores charged to the cached entries. */
+        /** Bytes of restore stores charged to the cached entries. */
         std::uint64_t refinedBytes = 0;
     };
 
@@ -325,8 +325,8 @@ class CampaignService
     /**
      * Re-charge `prep`'s entry (if still cached) at its current
      * approxBytes() — it grows as requests build golden traces and
-     * the dense checkpoint store — and evict beyond the byte budget
-     * the way cacheInsert() does.
+     * the checkpoint store runs restore from — and evict beyond the
+     * byte budget the way cacheInsert() does.
      */
     void
     cacheRecharge(const std::shared_ptr<const PreparedCampaign> &prep);

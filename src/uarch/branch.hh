@@ -50,7 +50,8 @@ class TournamentPredictor
     /** Train with the actual outcome and update histories. */
     void update(std::uint32_t pc, bool taken);
 
-    /** Serialize predictor tables and history (cache spill). */
+    /** Serialize predictor tables and history (cache spill); a load
+     *  refuses tables of another size. */
     template <class Ar> void serializeState(Ar &ar);
 
   private:
@@ -105,7 +106,8 @@ class Btb
     /** The nonzero counters, named `<btb>.<event>`. */
     dfi::StatSet stats() const;
 
-    /** Serialize entry array, LRU books and counters (cache spill). */
+    /** Serialize entry array, LRU books and counters (cache spill);
+     *  a load refuses LRU books that do not cover the entries. */
     template <class Ar> void serializeState(Ar &ar);
 
   private:
@@ -135,7 +137,8 @@ class Ras
     std::uint32_t depth() const { return depth_; }
     std::uint32_t capacity() const { return entries_; }
 
-    /** Serialize stack state (cache spill). */
+    /** Serialize stack state (cache spill); a load refuses a top or
+     *  depth outside the entries. */
     template <class Ar> void serializeState(Ar &ar);
 
   private:

@@ -136,7 +136,8 @@ class Cache
     dfi::FaultableArray &dataArray() { return data_; }
     dfi::FaultableArray &validArray() { return valid_; }
 
-    /** Serialize dynamic state (arrays, dirty/LRU books, counters). */
+    /** Serialize dynamic state (arrays, dirty/LRU books, counters); a
+     *  load refuses books that do not cover the lines. */
     template <class Ar> void serializeState(Ar &ar);
 
     /** Upper bound on checkpointable state (budget accounting). */

@@ -96,9 +96,11 @@ TEST(Campaign, CheckpointsDoNotChangeOutcomes)
 
 TEST(Campaign, CheckpointScheduleIsStrictlyEarlier)
 {
+    // The store runs restore from.
     InjectionCampaign campaign(microConfig("marss-x86", "l1d"));
-    (void)campaign.golden();
-    const CheckpointStore &store = campaign.checkpoints();
+    const std::shared_ptr<const CheckpointStore> refined =
+        campaign.prepared()->refined();
+    const CheckpointStore &store = *refined;
 
     // The base snapshot is cycle 0 and the schedule ascends.
     const auto &cycles = store.cycles();
@@ -123,20 +125,19 @@ TEST(Campaign, InjectionAtCheckpointCycleMatchesFromReset)
     // Boundary determinism: a mask landing exactly on, or one cycle
     // after, a checkpoint cycle must produce the same record whether
     // the run restores from a snapshot or replays from reset.  Runs
-    // restore from the dense store, whose cycles include the coarse
-    // store's, and from the snapshot strictly before the mask.
+    // restore from refined(), from the snapshot strictly before the
+    // mask.
     for (const char *component : {"l1d", "int_regfile"}) {
         auto cfg = microConfig("marss-x86", component);
         InjectionCampaign with(cfg);
         const std::shared_ptr<const CheckpointStore> dense =
             with.prepared()->refined();
         const auto &cycles = dense->cycles();
-        ASSERT_GT(cycles.size(), with.checkpoints().count());
+        ASSERT_GE(cycles.size(), 2u);
 
         cfg.useCheckpoints = false;
         InjectionCampaign without(cfg);
-        (void)without.golden();
-        ASSERT_EQ(without.checkpoints().count(), 1u);
+        ASSERT_EQ(without.prepared()->refined()->count(), 1u);
 
         const StructureId structure = std::string(component) == "l1d"
                                           ? StructureId::L1DData
@@ -172,32 +173,25 @@ TEST(Campaign, CheckpointBudgetDropsToBaseSnapshot)
     // The micro image alone is 2 MiB of guest memory, so a 1 MiB
     // budget cannot afford a second snapshot: capture must drop to
     // the base one (runs start from reset) rather than exceed the
-    // budget — and outcomes must not change.  The dense store the
-    // runs restore from stays under the same budget.  Unpruned, so
-    // every run restores.
+    // budget — and outcomes must not change.  Unpruned, so every run
+    // restores.
     auto cfg = microConfig("marss-x86", "l1d");
     cfg.prune = false;
     Parser parser;
 
     InjectionCampaign unlimited(cfg);
     const auto a = unlimited.run().classify(parser);
-    EXPECT_GE(unlimited.checkpoints().count(), 2u);
-    EXPECT_GT(unlimited.prepared()->refined()->count(),
-              unlimited.checkpoints().count());
+    EXPECT_GE(unlimited.prepared()->refined()->count(), 2u);
 
     cfg.checkpointMemBudgetMB = 1;
     InjectionCampaign tight(cfg);
     const auto b = tight.run().classify(parser);
-    const CheckpointStore &store = tight.checkpoints();
-    EXPECT_GT(store.snapshotBoundBytes(), 1u << 20);
-    EXPECT_EQ(store.maxLiveSnapshots(), 1u);
-    EXPECT_EQ(store.count(), 1u);
-    EXPECT_TRUE(store.budgetLimited());
-    const std::shared_ptr<const CheckpointStore> dense =
+    const std::shared_ptr<const CheckpointStore> store =
         tight.prepared()->refined();
-    EXPECT_EQ(dense->maxLiveSnapshots(), 1u);
-    EXPECT_EQ(dense->count(), 1u);
-    EXPECT_TRUE(dense->budgetLimited());
+    EXPECT_GT(store->snapshotBoundBytes(), 1u << 20);
+    EXPECT_EQ(store->maxLiveSnapshots(), 1u);
+    EXPECT_EQ(store->count(), 1u);
+    EXPECT_TRUE(store->budgetLimited());
 
     EXPECT_EQ(a.counts, b.counts);
 }
@@ -621,9 +615,10 @@ TEST(CampaignFlags, BindEverySharedFlagIntoTheConfig)
     EXPECT_TRUE(cfg.resumeFrom.empty());
     EXPECT_TRUE(cfg.telemetryOut.empty());
 
-    // Exactly the twenty flags above, and --jobs states the default
-    // of the config it was bound to.
+    // Exactly the twenty flags above, and --jobs and --checkpoints
+    // state the defaults of the config they were bound to.
     cfg.jobs = 7;
+    cfg.checkpointCount = 33;
     cli::FlagSet flags("tool", "[options]");
     bindCampaignFlags(flags, cfg);
     const std::string usage = flags.usage();
@@ -633,6 +628,7 @@ TEST(CampaignFlags, BindEverySharedFlagIntoTheConfig)
         ++registered;
     EXPECT_EQ(registered, 20u) << usage;
     EXPECT_NE(usage.find("(default 7;"), std::string::npos) << usage;
+    EXPECT_NE(usage.find("(default 33)"), std::string::npos) << usage;
 }
 
 TEST(CampaignFlags, BadValuesNameTheFlagAndTheDomain)
@@ -660,7 +656,7 @@ TEST(CampaignFlags, BadValuesNameTheFlagAndTheDomain)
                              flag + " (expected an unsigned integer)");
     }
     EXPECT_EQ(cfg.scale, 1u);
-    EXPECT_EQ(cfg.checkpointCount, 6u);
+    EXPECT_EQ(cfg.checkpointCount, 64u);
     EXPECT_EQ(parseCampaignFlags({"--scale", "4294967295"}, cfg, error),
               cli::ParseResult::Ok)
         << error;

@@ -25,6 +25,9 @@
 #include "inject/campaign.hh"
 #include "inject/service.hh"
 #include "isa/types.hh"
+#include "uarch/branch.hh"
+#include "uarch/cache.hh"
+#include "uarch/core_config.hh"
 #include "uarch/ooo_core.hh"
 
 namespace
@@ -59,7 +62,7 @@ smokeConfig()
  */
 TEST(CacheKey, PinnedDigestIsStableAcrossProcesses)
 {
-    EXPECT_EQ(smokeConfig().cacheKey(), "709a0fa662302086");
+    EXPECT_EQ(smokeConfig().cacheKey(), "29df024ae1e62b1b");
 }
 
 /**
@@ -69,7 +72,12 @@ TEST(CacheKey, PinnedDigestIsStableAcrossProcesses)
  */
 TEST(CacheKey, PinnedPrepKeyIsStableAcrossProcesses)
 {
-    EXPECT_EQ(smokeConfig().prepKey(), "b393f958ffa93d2a");
+    EXPECT_EQ(smokeConfig().prepKey(), "56125bc41438fc68");
+    // The derivation did not change: under the old default of 6
+    // checkpoints the key is the old pin.
+    CampaignConfig six = smokeConfig();
+    six.checkpointCount = 6;
+    EXPECT_EQ(six.prepKey(), "b393f958ffa93d2a");
 }
 
 TEST(CacheKey, IgnoresExecutionStrategyAndTelemetryFields)
@@ -107,68 +115,72 @@ TEST(CacheKey, IgnoresExecutionStrategyAndTelemetryFields)
 }
 
 /**
- * One table drives both keys.  Every row changes cacheKey(), the
- * response's identity; only the rows marked as prepare inputs — the
- * fields InjectionCampaign::prepare() reads — change prepKey(), so
- * campaigns differing in any other row share one preparation.
+ * One table drives both keys.  The rows marked as outcome fields —
+ * the telemetry config echo — change cacheKey(), the response's
+ * identity; the rows marked as prepare inputs — the fields
+ * InjectionCampaign::prepare() reads — change prepKey(), so
+ * campaigns differing in any other row share one preparation.  The
+ * checkpoint knobs are prepare inputs only: they choose the store
+ * runs restore from, never an outcome.
  */
 TEST(CacheKey, ChangesWhenAnyCampaignRelevantFieldChanges)
 {
     struct Mutation
     {
         const char *name;
+        bool outcomeField;
         bool prepareInput;
         void (*mutate)(CampaignConfig &);
     };
     const std::vector<Mutation> mutations = {
-        {"component", false,
+        {"component", true, false,
          [](CampaignConfig &c) { c.component = "l1d"; }},
-        {"benchmark", true,
+        {"benchmark", true, true,
          [](CampaignConfig &c) { c.benchmark = "sha"; }},
-        {"scale", true, [](CampaignConfig &c) { c.scale = 2; }},
-        {"core", true,
+        {"scale", true, true, [](CampaignConfig &c) { c.scale = 2; }},
+        {"core", true, true,
          [](CampaignConfig &c) { c.coreName = "gem5-arm"; }},
-        {"injections", false,
+        {"injections", true, false,
          [](CampaignConfig &c) { c.numInjections = 25; }},
-        {"confidence", false,
+        {"confidence", true, false,
          [](CampaignConfig &c) {
              c.numInjections = 0;
              c.confidence = 0.95;
          }},
-        {"margin", false,
+        {"margin", true, false,
          [](CampaignConfig &c) {
              c.numInjections = 0;
              c.margin = 0.05;
          }},
-        {"exhaustive", false,
+        {"exhaustive", true, false,
          [](CampaignConfig &c) {
              c.numInjections = 0;
              c.exhaustive = true;
          }},
-        {"fault_type", false,
+        {"fault_type", true, false,
          [](CampaignConfig &c) { c.faultType = FaultType::Permanent; }},
-        {"population", false,
+        {"population", true, false,
          [](CampaignConfig &c) {
              c.population = Population::DoubleAdjacent;
          }},
-        {"intermittent_min", false,
+        {"intermittent_min", true, false,
          [](CampaignConfig &c) { c.intermittentMin = 51; }},
-        {"intermittent_max", false,
+        {"intermittent_max", true, false,
          [](CampaignConfig &c) { c.intermittentMax = 501; }},
-        {"cache_scale", true,
+        {"cache_scale", true, true,
          [](CampaignConfig &c) { c.cacheScale = 0.125; }},
-        {"timeout_factor", false,
+        {"timeout_factor", true, false,
          [](CampaignConfig &c) { c.timeoutFactor = 4.0; }},
-        {"early_stop_invalid_entry", false,
+        {"early_stop_invalid_entry", true, false,
          [](CampaignConfig &c) { c.earlyStopInvalidEntry = false; }},
-        {"early_stop_overwrite", false,
+        {"early_stop_overwrite", true, false,
          [](CampaignConfig &c) { c.earlyStopOverwrite = false; }},
-        {"seed", false, [](CampaignConfig &c) { c.seed = 8; }},
-        {"use_checkpoints", true,
+        {"seed", true, false, [](CampaignConfig &c) { c.seed = 8; }},
+        {"use_checkpoints", false, true,
          [](CampaignConfig &c) { c.useCheckpoints = false; }},
-        {"checkpoint_count", true,
+        {"checkpoint_count", false, true,
          [](CampaignConfig &c) { c.checkpointCount = 7; }},
-        {"checkpoint_budget", true,
+        {"checkpoint_budget", false, true,
          [](CampaignConfig &c) { c.checkpointMemBudgetMB = 128; }},
     };
 
@@ -181,12 +193,18 @@ TEST(CacheKey, ChangesWhenAnyCampaignRelevantFieldChanges)
         CampaignConfig cfg = smokeConfig();
         row.mutate(cfg);
         const std::string key = cfg.cacheKey();
-        EXPECT_NE(key, base) << "field did not affect the key: "
-                             << row.name;
-        for (const std::string &prior : keys)
-            EXPECT_NE(key, prior)
-                << "key collision involving field: " << row.name;
-        keys.push_back(key);
+        if (row.outcomeField) {
+            EXPECT_NE(key, base) << "field did not affect the key: "
+                                 << row.name;
+            for (const std::string &prior : keys)
+                EXPECT_NE(key, prior)
+                    << "key collision involving field: " << row.name;
+            keys.push_back(key);
+        } else {
+            EXPECT_EQ(key, base)
+                << "an execution-strategy knob split the response: "
+                << row.name;
+        }
 
         const std::string prep_key = cfg.prepKey();
         if (!row.prepareInput) {
@@ -204,6 +222,7 @@ TEST(CacheKey, ChangesWhenAnyCampaignRelevantFieldChanges)
         prep_keys.push_back(prep_key);
     }
     EXPECT_EQ(prepare_inputs, 7u);
+    EXPECT_EQ(keys.size(), 18u); // the base and 17 outcome fields
 }
 
 // ---------------------------------------------------------------
@@ -364,7 +383,7 @@ TEST(ServiceProtocol, RequestLineBytesArePinned)
         "\"timeout_factor\":3,\"early_stop_invalid_entry\":true,"
         "\"early_stop_overwrite\":true,\"seed\":7,\"prune\":true,"
         "\"jobs\":1,\"telemetry_timing\":false,"
-        "\"use_checkpoints\":true,\"checkpoints\":6,"
+        "\"use_checkpoints\":true,\"checkpoints\":64,"
         "\"checkpoint_budget_mb\":256}}");
 }
 
@@ -501,28 +520,38 @@ coreBytes(const uarch::OooCore &core)
 }
 
 /**
- * The dense store is the golden run replayed: it holds every cycle
- * the coarse store holds and more, and at each shared cycle its
- * snapshot serializes to the coarse snapshot's bytes.
+ * The store runs restore from is the golden run replayed: it holds
+ * exactly the snapshots a golden pass the test observes itself under
+ * the same policy captures, byte for byte, while the prepared state
+ * keeps only the base one.
  */
-TEST(PreparedCampaign, DenseSnapshotsEqualCoarseOnesAtSharedCycles)
+TEST(PreparedCampaign, RefinedSnapshotsEqualAnObservedGoldenPass)
 {
+    const CampaignConfig cfg = smokeConfig();
     const std::shared_ptr<const PreparedCampaign> prep =
-        InjectionCampaign(smokeConfig()).prepared();
-    const CheckpointStore &coarse = prep->checkpoints;
-    const std::shared_ptr<const CheckpointStore> dense = prep->refined();
-    ASSERT_NE(dense, nullptr);
-    EXPECT_GT(dense->count(), coarse.count());
-    EXPECT_EQ(dense->snapshotBoundBytes(), coarse.snapshotBoundBytes());
-    EXPECT_EQ(prep->refinedBytes(), dense->heldBytes());
+        InjectionCampaign(cfg).prepared();
+    EXPECT_EQ(prep->checkpoints.count(), 1u);
+    const std::shared_ptr<const CheckpointStore> refined =
+        prep->refined();
+    ASSERT_NE(refined, nullptr);
+    EXPECT_EQ(prep->refinedBytes(), refined->heldBytes());
 
-    for (const std::uint64_t cycle : coarse.cycles()) {
-        const std::vector<std::uint64_t> &held = dense->cycles();
-        ASSERT_TRUE(std::binary_search(held.begin(), held.end(), cycle))
-            << "cycle " << cycle;
+    uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg.coreName);
+    uarch::scaleCaches(core_cfg, cfg.cacheScale);
+    uarch::OooCore core(core_cfg, prep->image);
+    CheckpointStore observed(prep->checkpoints.policy());
+    observed.captureBase(core);
+    while (core.tick())
+        observed.observe(core);
+    ASSERT_EQ(core.cycle(), prep->golden.cycles);
+
+    ASSERT_GT(observed.count(), 1u);
+    ASSERT_EQ(refined->cycles(), observed.cycles());
+    EXPECT_EQ(refined->snapshotBoundBytes(), observed.snapshotBoundBytes());
+    for (const std::uint64_t cycle : observed.cycles()) {
         // sourceFor(c + 1) is the snapshot taken at c.
-        const uarch::OooCore &a = coarse.sourceFor(cycle + 1);
-        const uarch::OooCore &b = dense->sourceFor(cycle + 1);
+        const uarch::OooCore &a = observed.sourceFor(cycle + 1);
+        const uarch::OooCore &b = refined->sourceFor(cycle + 1);
         ASSERT_EQ(a.cycle(), cycle);
         ASSERT_EQ(b.cycle(), cycle);
         EXPECT_EQ(coreBytes(a), coreBytes(b)) << "cycle " << cycle;
@@ -1099,10 +1128,14 @@ TEST(PreparedSerial, SaveLoadRoundTripReproducesCampaign)
 
     EXPECT_EQ(loaded->expectedOutput, original->expectedOutput);
     EXPECT_EQ(loaded->golden.cycles, original->golden.cycles);
-    EXPECT_EQ(loaded->checkpoints.count(),
-              original->checkpoints.count());
+    // One snapshot, the reset core, under the config's own policy.
     EXPECT_EQ(loaded->checkpoints.cycles(),
-              original->checkpoints.cycles());
+              std::vector<std::uint64_t>{0});
+    EXPECT_EQ(loaded->checkpoints.policy().targetCount,
+              cfg.checkpointCount);
+    serial::Writer again;
+    savePreparedCampaign(*loaded, again);
+    EXPECT_EQ(again.buffer(), writer.buffer());
 
     // The decisive check: a campaign adopting the loaded state
     // produces byte-identical artifacts to one adopting the live
@@ -1141,6 +1174,47 @@ TEST(PreparedSerial, TruncatedStreamFailsInsteadOfLoading)
     std::string error;
     EXPECT_EQ(loadPreparedCampaign(cfg, reader, error), nullptr);
     EXPECT_FALSE(error.empty());
+}
+
+/**
+ * The savePreparedCampaign() archive of a copy of `prep` that `edit`
+ * changed: a well-framed stream holding state prepare() never wrote.
+ */
+template <class Edit>
+std::string
+editedArchive(const PreparedCampaign &prep, Edit edit)
+{
+    PreparedCampaign copy;
+    copy.image = prep.image;
+    copy.expectedOutput = prep.expectedOutput;
+    copy.golden = prep.golden;
+    copy.checkpoints = prep.checkpoints;
+    edit(copy);
+    serial::Writer writer;
+    savePreparedCampaign(copy, writer);
+    EXPECT_TRUE(writer.ok());
+    return writer.buffer();
+}
+
+/** The golden core of `prep` after `cycles` cycles. */
+uarch::OooCore
+goldenCoreAt(const PreparedCampaign &prep, std::uint64_t cycles)
+{
+    uarch::OooCore core = prep.checkpoints.sourceFor(0);
+    while (core.cycle() < cycles && core.tick()) {
+    }
+    return core;
+}
+
+/** `edit` that makes `core` the archived (base) core. */
+auto
+withCore(const uarch::OooCore &core)
+{
+    return [&core](PreparedCampaign &copy) {
+        CheckpointStore store(copy.checkpoints.policy());
+        store.captureBase(core);
+        copy.checkpoints = store;
+    };
 }
 
 std::uint64_t
@@ -1182,7 +1256,7 @@ uopFieldOffset(T uarch::Uop::*field, T probe)
 }
 
 /**
- * Where one snapshot core keeps its rename, ROB and IQ-occupancy
+ * Where the archived core keeps its rename, ROB and IQ-occupancy
  * state inside a prepared-state archive, found from the IQ payload
  * array's geometry header (its 34-bit entries are unique to it) and
  * the fixed order of OooCore::serializeState.
@@ -1203,8 +1277,8 @@ struct CoreLayout
 };
 
 /**
- * The first snapshot whose ROB is neither empty nor full and whose
- * free list is not empty.
+ * The archived core's layout, when its ROB is neither empty nor full
+ * and its free list is not empty.
  */
 bool
 findCoreLayout(const std::string &bytes, const uarch::CoreConfig &core,
@@ -1266,11 +1340,13 @@ findCoreLayout(const std::string &bytes, const uarch::CoreConfig &core,
 }
 
 /**
- * A well-framed archive whose snapshot core holds state outside the
+ * A well-framed archive whose core holds state outside the
  * configuration it loads under (a corrupt spill, or one written by a
  * build whose core geometry differed) must be refused — a cold miss
  * — not loaded into a core that would index past its ROB, queues or
- * register maps.
+ * register maps.  The archives hold a mid-run golden core, whose ROB
+ * is not empty: intact, it is refused only for not being a reset
+ * core, so each patched field below is refused by its own check.
  */
 TEST(PreparedSerial, CoreStateOutsideTheConfigurationIsRefused)
 {
@@ -1278,19 +1354,24 @@ TEST(PreparedSerial, CoreStateOutsideTheConfigurationIsRefused)
     uarch::CoreConfig core = uarch::coreConfigByName(cfg.coreName);
     ASSERT_TRUE(core.unifiedLsq); // findCoreLayout reads the LSQ header
 
-    InjectionCampaign source(cfg);
-    serial::Writer writer;
-    savePreparedCampaign(*source.prepared(), writer);
-    const std::string archive = writer.buffer();
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(cfg).prepared();
+    std::uint64_t cycle = prep->golden.cycles / 2;
+    std::string archive;
     CoreLayout at;
-    ASSERT_TRUE(findCoreLayout(archive, core, at));
+    do {
+        ASSERT_LT(cycle, prep->golden.cycles);
+        const uarch::OooCore mid = goldenCoreAt(*prep, cycle++);
+        archive = editedArchive(*prep, withCore(mid));
+    } while (!findCoreLayout(archive, core, at));
 
     auto loads = [&cfg](const std::string &bytes, std::string &error) {
         serial::Reader reader(bytes);
         return loadPreparedCampaign(cfg, reader, error) != nullptr;
     };
     std::string error;
-    ASSERT_TRUE(loads(archive, error)) << error;
+    ASSERT_FALSE(loads(archive, error));
+    ASSERT_NE(error.find("not a reset core"), std::string::npos) << error;
 
     const std::uint32_t outside = (at.head + at.count) % core.robEntries;
     auto uop_field = [&at](std::uint32_t slot, std::size_t offset) {
@@ -1379,6 +1460,124 @@ TEST(PreparedSerial, CoreStateOutsideTheConfigurationIsRefused)
     savePreparedCampaign(*other.prepared(), other_writer);
     EXPECT_FALSE(loads(other_writer.buffer(), error));
     EXPECT_NE(error.find("core:"), std::string::npos) << error;
+}
+
+/** The archive of one component, pages interned within it alone. */
+template <class Component>
+std::string
+componentBytes(Component &component)
+{
+    serial::Writer writer;
+    component.serializeState(writer);
+    EXPECT_TRUE(writer.ok());
+    return writer.buffer();
+}
+
+/** Offset of the only occurrence of `needle` in `bytes` after `from`. */
+std::size_t
+findOnce(const std::string &bytes, const std::string &needle,
+         std::size_t from)
+{
+    const std::size_t at = bytes.find(needle, from);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(bytes.find(needle, at + 1), std::string::npos);
+    return at;
+}
+
+/**
+ * The front-end and cache components load their indices and books
+ * checked against their geometry, as the core does its own state:
+ * loaded, a RAS top of 1000 aborts the first run on an out-of-bounds
+ * array access, and a short LRU book or predictor table is indexed
+ * past its end.  Each case patches one field
+ * of the reset core in a real spill archive.  The components sit where
+ * the archive of a fresh component of the same configuration matches
+ * it: the reset core's components are fresh, and every page a fresh
+ * component writes is its first.
+ */
+TEST(PreparedSerial, ComponentStateOutsideItsGeometryIsRefused)
+{
+    const CampaignConfig cfg = smokeConfig();
+    uarch::CoreConfig core = uarch::coreConfigByName(cfg.coreName);
+    uarch::scaleCaches(core, cfg.cacheScale);
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(cfg).prepared();
+    serial::Writer writer;
+    savePreparedCampaign(*prep, writer);
+    const std::string archive = writer.buffer();
+    // Search only the archived core, past the image and the output.
+    const std::size_t core_at =
+        archive.size() - coreBytes(prep->checkpoints.sourceFor(0)).size();
+
+    uarch::Ras ras("ras", core.rasEntries);
+    const std::size_t ras_at =
+        findOnce(archive, componentBytes(ras), core_at);
+    uarch::TournamentPredictor predictor(core.chooserIndex);
+    const std::size_t predictor_at =
+        findOnce(archive, componentBytes(predictor), core_at);
+    // A BTB and a cache are found by their first array's geometry
+    // header; their books follow their arrays.
+    uarch::Btb btb(core.btb);
+    const std::size_t btb_lru =
+        findOnce(archive, componentBytes(btb.array()).substr(0, 16),
+                 core_at) +
+        componentBytes(btb.array()).size();
+    ASSERT_EQ(getU64(archive, btb_lru), core.btb.entries);
+    uarch::Cache l2(core.hier.l2);
+    const std::size_t l2_dirty =
+        findOnce(archive, componentBytes(l2.tagArray()).substr(0, 16),
+                 core_at) +
+        componentBytes(l2.tagArray()).size() +
+        componentBytes(l2.dataArray()).size() +
+        componentBytes(l2.validArray()).size();
+    const std::size_t l2_lru = l2_dirty + 8 + l2.numLines();
+    ASSERT_EQ(getU64(archive, l2_dirty), l2.numLines());
+    ASSERT_EQ(getU64(archive, l2_lru), l2.numLines());
+
+    auto loads = [&cfg](const std::string &bytes, std::string &error) {
+        serial::Reader reader(bytes);
+        return loadPreparedCampaign(cfg, reader, error) != nullptr;
+    };
+    std::string error;
+    ASSERT_TRUE(loads(archive, error)) << error;
+
+    auto shorten = [&archive](std::size_t length_word,
+                              std::size_t elem_bytes) {
+        std::string bytes = archive;
+        put(bytes, length_word, getU64(bytes, length_word) - 1);
+        bytes.erase(length_word + 8, elem_bytes);
+        return bytes;
+    };
+    auto patched = [&archive](std::size_t at, std::uint32_t value) {
+        std::string bytes = archive;
+        put(bytes, at, value);
+        return bytes;
+    };
+    struct Case
+    {
+        const char *what;
+        std::string bytes;
+        const char *reason;
+    };
+    const std::vector<Case> cases = {
+        {"RAS top of 1000", patched(ras_at, 1000), "ras 'ras'"},
+        {"RAS depth above its entries",
+         patched(ras_at + 4, core.rasEntries + 1), "ras 'ras'"},
+        {"predictor table shorter than the predictor",
+         shorten(predictor_at, 1), "predictor:"},
+        {"BTB LRU book shorter than its entries", shorten(btb_lru, 8),
+         "btb 'btb'"},
+        {"cache dirty book shorter than its lines", shorten(l2_dirty, 1),
+         "cache 'l2'"},
+        {"cache LRU book shorter than its lines", shorten(l2_lru, 8),
+         "cache 'l2'"},
+    };
+    for (const Case &c : cases) {
+        std::string why;
+        EXPECT_FALSE(loads(c.bytes, why)) << c.what;
+        EXPECT_NE(why.find(c.reason), std::string::npos)
+            << c.what << ": " << why;
+    }
 }
 
 // ---------------------------------------------------------------
@@ -1534,30 +1733,57 @@ TEST(ServiceDisk, CorruptSpillFilesFallBackToColdPrepare)
     std::filesystem::remove_all(options.cacheDir);
 }
 
+/** A prepared-state spill file's stream, its trailing digest dropped. */
+std::string
+readSpill(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes(std::istreambuf_iterator<char>(in), {});
+    EXPECT_GT(bytes.size(), sizeof(std::uint64_t));
+    bytes.resize(bytes.size() - sizeof(std::uint64_t));
+    return bytes;
+}
+
+/** Write `bytes` as a spill file framed by its FNV-1a digest, so the
+ *  file passes the integrity check whatever the bytes hold. */
+void
+writeSpill(const std::filesystem::path &path, std::string bytes)
+{
+    const std::uint64_t digest = hash::fnv1a(bytes);
+    bytes.append(reinterpret_cast<const char *>(&digest), sizeof digest);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
 /**
  * Rewrite the version tag at the head of a prepared-state spill file
- * and re-frame its trailing FNV-1a digest, so the file still passes
- * the integrity check and only the tag differs.
+ * and re-frame its digest, so only the tag differs.
  */
 void
 retagSpill(const std::filesystem::path &path, const std::string &from,
            const std::string &to)
 {
     ASSERT_EQ(from.size(), to.size());
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    ASSERT_GT(bytes.size(), sizeof(std::uint64_t));
-    bytes.resize(bytes.size() - sizeof(std::uint64_t));
+    std::string bytes = readSpill(path);
     // The stream opens with the tag: a u64 length, then the bytes.
     ASSERT_EQ(bytes.compare(sizeof(std::uint64_t), from.size(), from), 0);
     bytes.replace(sizeof(std::uint64_t), to.size(), to);
-    const std::uint64_t digest = hash::fnv1a(bytes);
-    bytes.append(reinterpret_cast<const char *>(&digest), sizeof digest);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
+    writeSpill(path, std::move(bytes));
+}
+
+/** The response memos and the prepared-state spill in `dir`. */
+std::filesystem::path
+dropMemosFindSpill(const std::string &dir)
+{
+    std::filesystem::path spill;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("resp_", 0) == 0)
+            std::filesystem::remove(entry.path());
+        else if (name.rfind("prep_", 0) == 0)
+            spill = entry.path();
+    }
+    return spill;
 }
 
 TEST(ServiceDisk, SpillWithAnOlderTagIsAColdMiss)
@@ -1576,20 +1802,13 @@ TEST(ServiceDisk, SpillWithAnOlderTagIsAColdMiss)
         ASSERT_TRUE(cold.ok) << cold.error;
     }
     // Drop the response memo so a restart has to load prepared state.
-    std::filesystem::path spill;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(options.cacheDir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("resp_", 0) == 0)
-            std::filesystem::remove(entry.path());
-        else if (name.rfind("prep_", 0) == 0)
-            spill = entry.path();
-    }
+    const std::filesystem::path spill =
+        dropMemosFindSpill(options.cacheDir);
     ASSERT_FALSE(spill.empty());
 
     // Control: re-framed with the current tag, the spill still loads.
     ASSERT_NO_FATAL_FAILURE(
-        retagSpill(spill, "dfi-prep-cache-v2", "dfi-prep-cache-v2"));
+        retagSpill(spill, "dfi-prep-cache-v3", "dfi-prep-cache-v3"));
     {
         CampaignService second(options);
         const ServiceResponse warm = second.execute(request);
@@ -1597,16 +1816,12 @@ TEST(ServiceDisk, SpillWithAnOlderTagIsAColdMiss)
         EXPECT_EQ(warm.cacheSource, "disk");
         EXPECT_EQ(warm.telemetryRuns, cold.telemetryRuns);
     }
-    for (const auto &entry :
-         std::filesystem::directory_iterator(options.cacheDir)) {
-        if (entry.path().filename().string().rfind("resp_", 0) == 0)
-            std::filesystem::remove(entry.path());
-    }
+    dropMemosFindSpill(options.cacheDir);
 
     // A spill written under the previous format's tag is ignored and
     // the request prepares cold.
     ASSERT_NO_FATAL_FAILURE(
-        retagSpill(spill, "dfi-prep-cache-v2", "dfi-prep-cache-v1"));
+        retagSpill(spill, "dfi-prep-cache-v3", "dfi-prep-cache-v2"));
     CampaignService third(options);
     const ServiceResponse fallback = third.execute(request);
     ASSERT_TRUE(fallback.ok) << fallback.error;
@@ -1615,6 +1830,131 @@ TEST(ServiceDisk, SpillWithAnOlderTagIsAColdMiss)
     EXPECT_EQ(third.cacheStats().diskHits, 0u);
     EXPECT_EQ(fallback.telemetryRuns, cold.telemetryRuns);
     EXPECT_EQ(fallback.telemetrySummary, cold.telemetrySummary);
+
+    std::filesystem::remove_all(options.cacheDir);
+}
+
+/**
+ * A spill that passes its digest but holds state prepare() never
+ * wrote comes back as a cold miss or an error response, never an
+ * abort: a golden run with a zero cycle count and a base core that
+ * has already run are refused by the loader, and a golden run one
+ * cycle longer than the program loads but fails the replay that
+ * builds the restore store.
+ */
+TEST(ServiceDisk, TamperedSpillIsAColdMissOrAnErrorResponse)
+{
+    CampaignService::Options options;
+    options.cacheDir = freshCacheDir("dfi-service-tamper-cache");
+    ServiceRequest request;
+    request.config = smokeConfig();
+
+    ServiceResponse cold;
+    {
+        CampaignService first(options);
+        cold = first.execute(request);
+        ASSERT_TRUE(cold.ok) << cold.error;
+    }
+    const std::filesystem::path spill =
+        dropMemosFindSpill(options.cacheDir);
+    ASSERT_FALSE(spill.empty());
+    const std::string stream = readSpill(spill);
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(request.config).prepared();
+    serial::Writer archive;
+    savePreparedCampaign(*prep, archive);
+    // The tag and key frame the archive.
+    ASSERT_EQ(stream.compare(stream.size() - archive.buffer().size(),
+                             std::string::npos, archive.buffer()),
+              0);
+    const std::string frame =
+        stream.substr(0, stream.size() - archive.buffer().size());
+
+    const uarch::OooCore ran = goldenCoreAt(*prep, 500);
+    struct Case
+    {
+        const char *what;
+        std::string archive;
+        bool prune;
+        const char *error; //!< nullptr: a cold miss
+    };
+    const std::vector<Case> cases = {
+        {"golden run one cycle long",
+         editedArchive(*prep,
+                       [](PreparedCampaign &p) { ++p.golden.cycles; }),
+         false, "checkpoint replay ended at cycle"},
+        {"zero-length golden run",
+         editedArchive(*prep,
+                       [](PreparedCampaign &p) { p.golden.cycles = 0; }),
+         true, nullptr},
+        {"base core at cycle 500", editedArchive(*prep, withCore(ran)),
+         true, nullptr},
+    };
+    for (const Case &c : cases) {
+        writeSpill(spill, frame + c.archive);
+        ServiceRequest tampered = request;
+        tampered.config.prune = c.prune;
+        CampaignService restarted(options);
+        const ServiceResponse response = restarted.execute(tampered);
+        dropMemosFindSpill(options.cacheDir);
+        if (c.error != nullptr) {
+            EXPECT_FALSE(response.ok) << c.what;
+            EXPECT_EQ(response.cacheSource, "disk") << c.what;
+            EXPECT_NE(response.error.find(c.error), std::string::npos)
+                << c.what << ": " << response.error;
+            continue;
+        }
+        ASSERT_TRUE(response.ok) << c.what << ": " << response.error;
+        EXPECT_EQ(response.cacheSource, "none") << c.what;
+        EXPECT_EQ(response.telemetryRuns, cold.telemetryRuns) << c.what;
+    }
+
+    std::filesystem::remove_all(options.cacheDir);
+}
+
+/**
+ * The checkpoint knobs choose where runs restore from, never an
+ * outcome, so the response key leaves them out: a request that
+ * differs only in them replays the first request's memo, and
+ * executing it would have produced the same bytes.
+ */
+TEST(ServiceDisk, CheckpointKnobsReplayTheResponseMemo)
+{
+    CampaignService::Options options;
+    options.cacheDir = freshCacheDir("dfi-service-knob-cache");
+    ServiceRequest request;
+    request.config = smokeConfig();
+    request.config.prune = false; // every run restores
+
+    CampaignService service(options);
+    const ServiceResponse first = service.execute(request);
+    ASSERT_TRUE(first.ok) << first.error;
+
+    CampaignService::Options cold_options;
+    cold_options.cacheBudgetBytes = 0;
+    CampaignService cold(cold_options);
+    const std::vector<void (*)(CampaignConfig &)> variants = {
+        [](CampaignConfig &c) { c.checkpointCount = 6; },
+        [](CampaignConfig &c) { c.checkpointMemBudgetMB = 1; },
+        [](CampaignConfig &c) { c.useCheckpoints = false; },
+    };
+    for (const auto &vary : variants) {
+        ServiceRequest knobs = request;
+        vary(knobs.config);
+        ASSERT_NE(knobs.config.prepKey(), request.config.prepKey());
+        const ServiceResponse memo = service.execute(knobs);
+        ASSERT_TRUE(memo.ok) << memo.error;
+        EXPECT_EQ(memo.cacheSource, "response");
+        EXPECT_EQ(memo.cacheKey, first.cacheKey);
+        EXPECT_EQ(memo.telemetryRuns, first.telemetryRuns);
+        EXPECT_EQ(memo.telemetrySummary, first.telemetrySummary);
+
+        const ServiceResponse executed = cold.execute(knobs);
+        ASSERT_TRUE(executed.ok) << executed.error;
+        EXPECT_EQ(executed.cacheSource, "none");
+        EXPECT_EQ(executed.telemetryRuns, first.telemetryRuns);
+        EXPECT_EQ(executed.telemetrySummary, first.telemetrySummary);
+    }
 
     std::filesystem::remove_all(options.cacheDir);
 }
