@@ -51,7 +51,10 @@
 #  10. a sweep — `--component l1d --seed 9` on gem5-arm — to adopt
 #      the spill the first daemon wrote (`cache_source: disk`), to be
 #      byte-equal to a local dfi-campaign run, and to leave exactly
-#      3 prep_*.bin files: one spill per program, not per request.
+#      3 prep_*.bin files: one spill per program, not per request;
+#  11. every prep_*.bin to be under 16 KiB: a spill holds the golden
+#      record and an image digest, and a load rebuilds the program
+#      and reset core from the config (a spilled core is ~140 KiB).
 #
 # Usage:
 #   scripts/check_service.sh [WORKDIR]
@@ -354,10 +357,19 @@ if [[ "${#preps[@]}" -ne 3 ]]; then
          "after the sweeps, found ${#preps[@]}" >&2
     status=1
 fi
+for prep in "${preps[@]}"; do
+    size=$(stat -c %s "$prep")
+    if [[ "$size" -ge 16384 ]]; then
+        echo "$prep: $size bytes; a spill holds no core and must" \
+             "stay under 16 KiB" >&2
+        status=1
+    fi
+done
 
 if [[ "$status" -ne 0 ]]; then
     echo "FAIL: served campaigns drifted from $GOLDEN_DIR/ or local" \
-         "runs, or came from the wrong cache tier (see above)" >&2
+         "runs, came from the wrong cache tier, or spilled too much" \
+         "(see above)" >&2
     exit "$status"
 fi
 echo "OK: 15 served campaigns — 13 smoke campaigns match $GOLDEN_DIR/" >&2

@@ -1,26 +1,33 @@
 /**
  * @file
- * Compact binary state serialization for cache spill files.
+ * Compact binary archives for the prepared-state spill and snapshot
+ * accounting.
  *
- * A deliberately small archive pair used by the campaign service to
- * persist PreparedCampaign state (golden run + checkpoint cores)
- * across daemon restarts.  Design points:
+ * The Writer has two jobs: it writes the campaign service's spill of
+ * a PreparedCampaign (the golden run record, and the image bytes the
+ * spill's image digest is taken over), and, counting only, it
+ * measures the bytes a checkpoint store's snapshot stack keeps alive
+ * (CheckpointStore::heldBytes).  The Reader reads back only the
+ * golden record: no core state is ever read from bytes, because a
+ * loaded prepared state rebuilds its program and reset core from the
+ * config.  Design points:
  *
  *  - One serialization function per type: classes expose
- *    `template <class Ar> void serializeState(Ar &)` and branch on
- *    `Ar::kSaving` only where save/load are asymmetric, so the field
- *    list can never drift between the two directions.
+ *    `template <class Ar> void serializeState(Ar &)`.  The record
+ *    types a spill holds (RunRecord, DueEvent, StatSet) instantiate
+ *    it for both archives, so their field list cannot drift between
+ *    the two directions; every other type only for the Writer.
  *  - Host-local format: scalars are memcpy'd in host representation.
  *    The files are a cache, not an interchange format — a reader on a
  *    different host simply misses and re-prepares.
- *  - Fail-soft reader: any underrun or structural mismatch latches
- *    ok() == false with a reason; subsequent reads return zeros and
- *    the caller discards the result.  Whole-file integrity is the
- *    caller's job (the service frames files with an FNV-1a digest).
- *  - Page interning: copy-on-write page payloads are written once and
- *    referenced by ordinal afterwards, so a snapshot stack that shares
- *    pages on disk re-shares them after load instead of exploding to
- *    `snapshots * state size` bytes.
+ *  - Fail-soft reader: any underrun latches ok() == false with a
+ *    reason; subsequent reads return zeros and the caller discards
+ *    the result.  Whole-file integrity is the caller's job (the
+ *    service frames files with an FNV-1a digest).
+ *  - Page interning: a copy-on-write page is written once however
+ *    many buffers and snapshots share it, so a counting writer's size
+ *    is the memory a snapshot stack keeps alive, not
+ *    `snapshots * state size`.
  */
 
 #ifndef DFI_COMMON_SERIAL_HH
@@ -30,7 +37,6 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -45,7 +51,7 @@ namespace dfi::serial
 /**
  * Appends state to a growable byte buffer.  Never mutates the object
  * being saved; serializeState takes a non-const reference only so
- * save and load can share one function body.
+ * the record types can share one function body with the Reader.
  *
  * Writes can fail (the `serial.write` failpoint models the allocator
  * or backing store giving out mid-save): the first failure latches
@@ -71,6 +77,9 @@ class Writer
     explicit Writer(CountOnly) : countOnly_(true) {}
 
     bool ok() const { return ok_; }
+
+    /** Latch a failure the caller met outside this archive. */
+    void fail() { ok_ = false; }
 
     void
     bytes(const void *data, std::size_t n)
@@ -186,31 +195,11 @@ class Reader
         }
     }
 
-    /** Record a freshly loaded page payload; returns its ordinal. */
-    std::uint64_t
-    registerPage(std::shared_ptr<void> page)
-    {
-        pages_.push_back(std::move(page));
-        return pages_.size() - 1;
-    }
-
-    /** Resolve a previously registered page by ordinal. */
-    std::shared_ptr<void>
-    internedPage(std::uint64_t id)
-    {
-        if (id >= pages_.size()) {
-            fail("interned page ordinal out of range");
-            return nullptr;
-        }
-        return pages_[static_cast<std::size_t>(id)];
-    }
-
   private:
     std::string_view data_;
     std::size_t pos_ = 0;
     bool ok_ = true;
     std::string error_;
-    std::vector<std::shared_ptr<void>> pages_;
 };
 
 /**
@@ -281,49 +270,27 @@ value(Ar &ar, std::vector<T> &v)
     }
 }
 
-/**
- * Fixed-size arithmetic array.  The length is in the stream so an
- * archive written with a different N fails instead of misparsing.
- */
-template <class Ar, class T, std::size_t N>
+/** Fixed-size arithmetic array (core state: written, never read). */
+template <class T, std::size_t N>
 void
-value(Ar &ar, std::array<T, N> &a)
+value(Writer &ar, std::array<T, N> &a)
 {
     static_assert(std::is_arithmetic_v<T>);
-    std::uint64_t n = N;
-    ar.scalar(n);
-    if constexpr (!Ar::kSaving) {
-        if (n != N) {
-            ar.fail("array length mismatch");
-            return;
-        }
-    }
     ar.bytes(a.data(), N * sizeof(T));
 }
 
-/** std::vector<bool> has no contiguous storage; one byte per element. */
-template <class Ar>
-void
-value(Ar &ar, std::vector<bool> &v)
+/**
+ * std::vector<bool> (core state: written, never read) has no
+ * contiguous storage; one byte per element.
+ */
+inline void
+value(Writer &ar, std::vector<bool> &v)
 {
     std::uint64_t n = v.size();
     ar.scalar(n);
-    if constexpr (Ar::kSaving) {
-        for (const bool bit : v) {
-            const std::uint8_t byte = bit ? 1 : 0;
-            ar.scalar(byte);
-        }
-    } else {
-        if (n > ar.remaining()) {
-            ar.fail("bit vector length exceeds stream");
-            return;
-        }
-        v.assign(static_cast<std::size_t>(n), false);
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            std::uint8_t byte = 0;
-            ar.scalar(byte);
-            v[i] = byte != 0;
-        }
+    for (const bool bit : v) {
+        const std::uint8_t byte = bit ? 1 : 0;
+        ar.scalar(byte);
     }
 }
 

@@ -33,19 +33,61 @@ namespace
 constexpr std::uint64_t kAbsoluteCycleCap = 200'000'000;
 
 /**
- * The store a prepared state keeps: `cfg`'s checkpoint policy and the
- * base snapshot of `core`, a reset core.
+ * A prepared state without its golden run: the program's expected
+ * output and image, and a store with `cfg`'s checkpoint policy whose
+ * base snapshot is the reset core.  prepare() runs the golden pass
+ * from that snapshot; a load takes the golden record from the spill.
+ * Every field read here must be hashed by prepKey(): the service
+ * shares one preparation among all configs with that key.
  */
-CheckpointStore
-baseStore(const CampaignConfig &cfg, const uarch::OooCore &core)
+std::shared_ptr<PreparedCampaign>
+buildProgram(const CampaignConfig &cfg)
 {
+    uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg.coreName);
+    uarch::scaleCaches(core_cfg, cfg.cacheScale);
+    if (cfg.configTweak)
+        cfg.configTweak(core_cfg);
+    const prog::Benchmark bench =
+        prog::buildBenchmark(cfg.benchmark, cfg.scale);
+    auto prep = std::make_shared<PreparedCampaign>();
+    prep->expectedOutput = bench.expectedOutput;
+    prep->image = ir::compileModule(bench.module, core_cfg.isa, 0x200000);
+
     CheckpointPolicy policy;
     policy.enabled = cfg.useCheckpoints;
     policy.targetCount = cfg.checkpointCount;
     policy.budgetBytes = cfg.checkpointMemBudgetMB * 1024 * 1024;
-    CheckpointStore store(policy);
-    store.captureBase(core);
-    return store;
+    prep->checkpoints = CheckpointStore(policy);
+    prep->checkpoints.captureBase(uarch::OooCore(core_cfg, prep->image));
+    return prep;
+}
+
+/**
+ * FNV-1a of the image's archive bytes, the identity a spill records
+ * of the program its golden run ran.  False when the archive failed
+ * (the `serial.write` failpoint), so the digest is of nothing.
+ */
+bool
+imageDigest(const isa::Image &image, std::uint64_t &digest)
+{
+    // Writer archives never mutate (common/serial.hh).
+    serial::Writer writer;
+    serial::value(writer, const_cast<isa::Image &>(image));
+    digest = hash::fnv1a(writer.buffer());
+    return writer.ok();
+}
+
+/** True inside a handler whose exception is a FatalError. */
+bool
+handlingFatal()
+{
+    try {
+        throw;
+    } catch (const FatalError &) {
+        return true;
+    } catch (...) {
+        return false;
+    }
 }
 
 bool
@@ -285,6 +327,7 @@ PreparedCampaign::trace(const std::string &component) const
     } catch (...) {
         lock.lock();
         slot.building = false;
+        memo_.bad = memo_.bad || handlingFatal();
         memo_.cv.notify_all();
         throw;
     }
@@ -353,6 +396,7 @@ PreparedCampaign::refined() const
     } catch (...) {
         lock.lock();
         memo_.refining = false;
+        memo_.bad = memo_.bad || handlingFatal();
         memo_.cv.notify_all();
         throw;
     }
@@ -364,6 +408,13 @@ PreparedCampaign::refined() const
     memo_.refinedBytes = held;
     memo_.cv.notify_all();
     return memo_.refined;
+}
+
+bool
+PreparedCampaign::bad() const
+{
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.bad;
 }
 
 std::uint64_t
@@ -394,14 +445,14 @@ PreparedCampaign::approxBytes() const
 void
 savePreparedCampaign(const PreparedCampaign &prep, serial::Writer &writer)
 {
-    // Writer archives never mutate (common/serial.hh); the const_casts
-    // only satisfy the shared save/load serializeState signature.
-    auto &mutable_prep = const_cast<PreparedCampaign &>(prep);
-    serial::value(writer, mutable_prep.image);
-    serial::value(writer, mutable_prep.expectedOutput);
-    serial::value(writer, mutable_prep.golden);
-    serial::value(writer, const_cast<uarch::OooCore &>(
-                              prep.checkpoints.sourceFor(0)));
+    std::uint64_t digest = 0;
+    if (!imageDigest(prep.image, digest)) {
+        writer.fail();
+        return;
+    }
+    serial::value(writer, digest);
+    // The const_cast only satisfies the shared save/load signature.
+    serial::value(writer, const_cast<syskit::RunRecord &>(prep.golden));
 }
 
 std::shared_ptr<const PreparedCampaign>
@@ -412,24 +463,24 @@ loadPreparedCampaign(const CampaignConfig &cfg, serial::Reader &reader,
         error = "prepared-state streams cannot carry a configTweak";
         return nullptr;
     }
-    uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg.coreName);
-    uarch::scaleCaches(core_cfg, cfg.cacheScale);
-
-    auto prep = std::make_shared<PreparedCampaign>();
-    serial::value(reader, prep->image);
-    serial::value(reader, prep->expectedOutput);
-    serial::value(reader, prep->golden);
+    std::uint64_t digest = 0;
+    syskit::RunRecord golden;
+    serial::value(reader, digest);
+    serial::value(reader, golden);
     if (!reader.ok()) {
         error = reader.error();
         return nullptr;
     }
-    if (prep->image.isa != core_cfg.isa) {
-        error = "prepared-state stream targets a different ISA";
+
+    // Everything but the golden record is rebuilt from the config, so
+    // the record is checked against the rebuild: it must be a run of
+    // this image that prepare() would have accepted.
+    std::shared_ptr<PreparedCampaign> prep = buildProgram(cfg);
+    std::uint64_t rebuilt = 0;
+    if (!imageDigest(prep->image, rebuilt) || rebuilt != digest) {
+        error = "prepared-state stream was recorded on another image";
         return nullptr;
     }
-    // What prepare() refuses, a load refuses too: the campaign would
-    // otherwise trust a golden run it could never have recorded.
-    const syskit::RunRecord &golden = prep->golden;
     if (golden.term != syskit::Termination::Exited ||
         golden.cycles == 0 || golden.cycles > kAbsoluteCycleCap ||
         golden.output != prep->expectedOutput) {
@@ -437,19 +488,7 @@ loadPreparedCampaign(const CampaignConfig &cfg, serial::Reader &reader,
                 "would have refused";
         return nullptr;
     }
-    uarch::OooCore core(core_cfg, prep->image);
-    serial::value(reader, core);
-    if (!reader.ok()) {
-        error = reader.error();
-        return nullptr;
-    }
-    if (core.cycle() != 0 || core.committedInstructions() != 0 ||
-        core.finished()) {
-        error = "prepared-state stream holds a core that is not a "
-                "reset core";
-        return nullptr;
-    }
-    prep->checkpoints = baseStore(cfg, core);
+    prep->golden = std::move(golden);
     return prep;
 }
 
@@ -471,26 +510,12 @@ InjectionCampaign::prepare()
         fatal("invalid campaign config: %s: %s", errors[0].field,
               errors[0].message);
 
-    // Every field read from here on must be hashed by prepKey(): the
-    // service shares one preparation among all configs with that key.
-    auto prep = std::make_shared<PreparedCampaign>();
-    uarch::CoreConfig core_cfg =
-        uarch::coreConfigByName(cfg_.coreName);
-    uarch::scaleCaches(core_cfg, cfg_.cacheScale);
-    if (cfg_.configTweak)
-        cfg_.configTweak(core_cfg);
-    const prog::Benchmark bench =
-        prog::buildBenchmark(cfg_.benchmark, cfg_.scale);
-    prep->expectedOutput = bench.expectedOutput;
-    prep->image = ir::compileModule(bench.module, core_cfg.isa,
-                                    0x200000);
-
-    // The golden pass.  The store keeps only the base snapshot, a COW
-    // copy of the reset core: refined() replays the run from it to
-    // capture the snapshots runs restore from, trace() to record a
-    // component's trace.
-    uarch::OooCore core(core_cfg, prep->image);
-    prep->checkpoints = baseStore(cfg_, core);
+    // The golden pass, from a copy of the base snapshot.  The store
+    // keeps only that snapshot, a COW copy of the reset core:
+    // refined() replays the run from it to capture the snapshots runs
+    // restore from, trace() to record a component's trace.
+    std::shared_ptr<PreparedCampaign> prep = buildProgram(cfg_);
+    uarch::OooCore core = prep->checkpoints.sourceFor(0);
     while (core.tick()) {
         if (core.cycle() > kAbsoluteCycleCap)
             fatal("golden run of '%s' on '%s' exceeded the cycle cap",

@@ -271,7 +271,9 @@ void bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg);
  * whose CampaignConfig::prepKey() matches may share one instance:
  * every consumer only ever copy-constructs private cores from const
  * checkpoint snapshots, which is already the executor's
- * thread-safety contract.
+ * thread-safety contract.  Only the golden run costs a simulation;
+ * the rest is rebuilt from the config in well under a millisecond,
+ * which is why the disk spill holds the golden record alone.
  *
  * The golden traces that classification reads (inject/prune.hh) and
  * the checkpoint store that faulty runs restore from are a pure
@@ -286,8 +288,8 @@ struct PreparedCampaign
 
     /**
      * The campaign's checkpoint policy and its base (cycle-0)
-     * snapshot, the one core the disk spill holds.  Nothing else:
-     * trace() and refined() start from a copy of that snapshot.
+     * snapshot, the reset core.  Nothing else: prepare()'s golden
+     * pass, trace() and refined() start from a copy of that snapshot.
      */
     CheckpointStore checkpoints;
 
@@ -330,6 +332,13 @@ struct PreparedCampaign
     std::uint64_t traceBytes() const;
 
     /**
+     * True once trace() or refined() threw a FatalError: the state
+     * failed a replay of its own golden run, so it is not what
+     * prepare() builds, and a cache holding it should drop it.
+     */
+    bool bad() const;
+
+    /**
      * Resident-footprint estimate in bytes (the service's LRU budget
      * accounting), traces and refined() store included.  The base
      * snapshot is charged at the per-snapshot bound, the refined()
@@ -359,29 +368,33 @@ struct PreparedCampaign
         std::shared_ptr<const CheckpointStore> refined;
         std::uint64_t refines = 0;
         std::uint64_t refinedBytes = 0;
+        bool bad = false;
     };
     mutable Memo memo_;
 };
 
 /**
  * Serialize prepared artifacts for the service's disk cache
- * (common/serial.hh): image, expected output, golden record and the
- * base core.  The stream carries only dynamic state; loading
- * reconstructs the core from the config named by `cfg`, so a stream
- * is only meaningful under the prepKey() that produced it — pairing
- * stream and config is the caller's contract (the service names
- * spill files by prepKey()).
+ * (common/serial.hh): an FNV-1a digest of the image's archive bytes
+ * and the golden record, the one artifact a load cannot rebuild
+ * without simulating.  A stream is only meaningful under the
+ * prepKey() that produced it — pairing stream and config is the
+ * caller's contract (the service names spill files by prepKey()).
+ * A failed archive write leaves `writer` not ok().
  */
 void savePreparedCampaign(const PreparedCampaign &prep,
                           serial::Writer &writer);
 
 /**
- * Rebuild prepared artifacts from a savePreparedCampaign() stream,
- * with `cfg`'s checkpoint policy: no policy is read from the stream.
- * Returns nullptr (and sets `error`) on any mismatch or truncation,
- * and on state prepare() could not have produced: a golden record it
- * would have refused, or a core that is not a reset core.  `cfg`
- * must not carry a configTweak (not serializable).
+ * Rebuild prepared artifacts from `cfg` and a savePreparedCampaign()
+ * stream: program, expected output, image and base snapshot as
+ * prepare() builds them, with `cfg`'s checkpoint policy, and the
+ * golden record from the stream.  Returns nullptr (and sets `error`)
+ * on truncation, when the stream's image digest is not the rebuilt
+ * image's, and on a golden record prepare() would have refused (not
+ * `Exited`, zero cycles or more than the cycle cap, output unlike the
+ * rebuilt expected output).  `cfg` must not carry a configTweak (not
+ * serializable).
  */
 std::shared_ptr<const PreparedCampaign>
 loadPreparedCampaign(const CampaignConfig &cfg, serial::Reader &reader,

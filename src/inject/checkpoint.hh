@@ -32,10 +32,10 @@
  * results stay bit-identical for every budget and `--jobs` value.
  *
  * A prepared campaign keeps only the base (reset) snapshot of a store
- * with the campaign's policy, the one core its disk spill holds.
- * Faulty runs restore from the store a replay of the golden run from
- * that snapshot captures under the same policy, built on first use
- * (PreparedCampaign::refined()).
+ * with the campaign's policy; a load from the disk spill rebuilds it
+ * from the config.  Faulty runs restore from the store a replay of
+ * the golden run from that snapshot captures under the same policy,
+ * built on first use (PreparedCampaign::refined()).
  */
 
 #ifndef DFI_INJECT_CHECKPOINT_HH

@@ -1,6 +1,7 @@
 #include "inject/service.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -415,7 +416,7 @@ namespace
 {
 
 /** Version tags for the two disk-cache file formats. */
-constexpr const char *kPrepCacheTag = "dfi-prep-cache-v3";
+constexpr const char *kPrepCacheTag = "dfi-prep-cache-v4";
 constexpr const char *kResponseCacheKind = "dfi-response-cache-v1";
 
 /** True when the failpoint fires with an Error action. */
@@ -427,9 +428,10 @@ chaosError(const char *site)
 }
 
 /**
- * Save via a process-unique temp file + fsync + rename + parent
- * fsync, so neither a concurrent reader, a crash mid-write, nor a
- * power cut can ever publish a torn or empty file under `path`:
+ * Save via a temp file of this call's own + fsync + rename + parent
+ * fsync, so neither a concurrent reader or writer, a crash
+ * mid-write, nor a power cut can ever publish a torn or empty file
+ * under `path`:
  * rename is only atomic against bytes that are already durable, and
  * the rename itself is only durable once the directory entry is.
  * (The digest framing remains the backstop — a torn file reads as a
@@ -440,8 +442,12 @@ chaosError(const char *site)
 bool
 writeFileAtomic(const std::string &path, const std::string &payload)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    // The daemon's workers may write one path at once (two identical
+    // requests finishing together): a temp name shared by the process
+    // would let one truncate the other's bytes and fail its rename.
+    static std::atomic<std::uint64_t> writes{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(writes++);
     const int fd =
         ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
@@ -602,6 +608,28 @@ CampaignService::cacheRecharge(
         cacheBytes_ += it->bytes;
     }
     lockedEvictOverBudget();
+}
+
+void
+CampaignService::dropPrepared(
+    const std::string &key,
+    const std::shared_ptr<const PreparedCampaign> &prep)
+{
+    const bool unlinked =
+        diskEnabled() && ::unlink(prepPath(key).c_str()) == 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    // By identity: a fresh state under the same key stays.
+    const auto it = std::find_if(lru_.begin(), lru_.end(),
+                                 [&prep](const CacheEntry &entry) {
+                                     return entry.prep == prep;
+                                 });
+    const bool cached = it != lru_.end();
+    if (cached) {
+        cacheBytes_ -= it->bytes;
+        lru_.erase(it);
+    }
+    if (cached || unlinked)
+        ++stats_.dropped;
 }
 
 void
@@ -976,10 +1004,17 @@ CampaignService::execute(const ServiceRequest &request,
         // with the error instead of leaving them blocked forever.
         publishFlight(prep_key, *flight, nullptr, response.error);
     }
-    // The request may have built a golden trace or the restore
-    // store on the shared preparation; charge it to the budget.
-    if (prep != nullptr && cache_enabled)
-        cacheRecharge(prep);
+    // A state that failed a replay of its own golden run is not what
+    // prepare() builds (a spill that passed its checks but lied):
+    // drop it, so the next request prepares cold.  Any other state
+    // may have grown a golden trace or the restore store on this
+    // request; charge it to the budget.
+    if (prep != nullptr && cache_enabled) {
+        if (prep->bad())
+            dropPrepared(prep_key, prep);
+        else
+            cacheRecharge(prep);
+    }
     return response;
 }
 
@@ -1106,6 +1141,7 @@ CampaignService::statsJson() const
               json::Value::unsignedInt(stats.responseStores));
     cache.set("disk_errors", json::Value::unsignedInt(stats.diskErrors));
     cache.set("disk_disabled", json::Value::boolean(stats.diskDisabled));
+    cache.set("dropped", json::Value::unsignedInt(stats.dropped));
     cache.set("trace_builds", json::Value::unsignedInt(stats.traceBuilds));
     cache.set("trace_bytes", json::Value::unsignedInt(stats.traceBytes));
     cache.set("refines", json::Value::unsignedInt(stats.refines));

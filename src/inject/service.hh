@@ -251,6 +251,13 @@ class CampaignService
 
         /** Bytes of restore stores charged to the cached entries. */
         std::uint64_t refinedBytes = 0;
+
+        /**
+         * Prepared states dropped from memory and disk because they
+         * failed a replay of their own golden run
+         * (PreparedCampaign::bad()).
+         */
+        std::uint64_t dropped = 0;
     };
 
     using Progress =
@@ -330,6 +337,13 @@ class CampaignService
      */
     void
     cacheRecharge(const std::shared_ptr<const PreparedCampaign> &prep);
+
+    /**
+     * Remove `prep` (by identity) from the LRU and the spill under
+     * `key` from disk, counting `dropped` once if either was there.
+     */
+    void dropPrepared(const std::string &key,
+                      const std::shared_ptr<const PreparedCampaign> &prep);
 
     /** Evict LRU entries beyond the byte budget.  Caller holds mu_. */
     void lockedEvictOverBudget();

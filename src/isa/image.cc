@@ -47,6 +47,5 @@ Image::serializeState(Ar &ar)
 }
 
 template void Image::serializeState(serial::Writer &);
-template void Image::serializeState(serial::Reader &);
 
 } // namespace dfi::isa

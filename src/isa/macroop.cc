@@ -195,6 +195,5 @@ MacroOp::serializeState(Ar &ar)
 }
 
 template void MacroOp::serializeState(serial::Writer &);
-template void MacroOp::serializeState(serial::Reader &);
 
 } // namespace dfi::isa

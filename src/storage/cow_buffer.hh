@@ -97,10 +97,9 @@ class CowBuffer
     }
 
     /**
-     * Serialize logical size and page table.  Page payloads are
-     * interned by identity, so buffers (and snapshot stacks) that
-     * share pages in memory share them in the stream and re-share
-     * them after load.
+     * Write logical size and page table.  Page payloads are interned
+     * by identity, so buffers (and snapshot stacks) that share pages
+     * in memory are counted once.
      */
     template <class Ar>
     void
@@ -110,46 +109,14 @@ class CowBuffer
         serial::value(ar, size);
         std::uint64_t page_count = pages_.size();
         serial::value(ar, page_count);
-        if constexpr (!Ar::kSaving) {
-            const std::uint64_t expected =
-                size == 0 ? 0 : (size + PageElems - 1) / PageElems;
-            if (page_count != expected) {
-                ar.fail("cow buffer: page table does not match size");
-                return;
-            }
-            size_ = static_cast<std::size_t>(size);
-            pages_.assign(static_cast<std::size_t>(page_count), nullptr);
-        }
-        for (std::size_t i = 0; i < pages_.size(); ++i) {
-            if constexpr (Ar::kSaving) {
-                std::uint64_t id = 0;
-                std::uint8_t interned =
-                    ar.internPage(pages_[i].get(), id) ? 1 : 0;
-                serial::value(ar, interned);
-                if (interned != 0)
-                    serial::value(ar, id);
-                else
-                    ar.bytes(pages_[i]->elems.data(), pageBytes());
-            } else {
-                std::uint8_t interned = 0;
-                serial::value(ar, interned);
-                if (!ar.ok())
-                    return;
-                if (interned != 0) {
-                    std::uint64_t id = 0;
-                    serial::value(ar, id);
-                    auto page = std::static_pointer_cast<Page>(
-                        ar.internedPage(id));
-                    if (page == nullptr)
-                        return;
-                    pages_[i] = std::move(page);
-                } else {
-                    auto page = std::make_shared<Page>();
-                    ar.bytes(page->elems.data(), pageBytes());
-                    ar.registerPage(page);
-                    pages_[i] = std::move(page);
-                }
-            }
+        for (const auto &page : pages_) {
+            std::uint64_t id = 0;
+            std::uint8_t interned = ar.internPage(page.get(), id) ? 1 : 0;
+            serial::value(ar, interned);
+            if (interned != 0)
+                serial::value(ar, id);
+            else
+                ar.bytes(page->elems.data(), pageBytes());
         }
     }
 

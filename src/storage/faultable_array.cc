@@ -130,31 +130,14 @@ template <class Ar>
 void
 FaultableArray::serializeState(Ar &ar)
 {
-    std::uint64_t entries = entries_;
-    std::uint64_t bits_per_entry = bitsPerEntry_;
-    serial::value(ar, entries);
-    serial::value(ar, bits_per_entry);
-    if constexpr (!Ar::kSaving) {
-        if (entries != entries_ || bits_per_entry != bitsPerEntry_) {
-            ar.fail("faultable array '" + name_ + "': geometry mismatch");
-            return;
-        }
-    }
     serial::value(ar, words_);
     std::uint64_t watch_entry = watchEntry_;
     std::uint64_t watch_bit = watchBit_;
     serial::value(ar, watch_entry);
     serial::value(ar, watch_bit);
     serial::value(ar, watchState_);
-    if constexpr (!Ar::kSaving) {
-        watchEntry_ = static_cast<std::size_t>(watch_entry);
-        watchBit_ = static_cast<std::size_t>(watch_bit);
-        // Observers trace a live array; loaded state starts untraced.
-        observer_ = nullptr;
-    }
 }
 
 template void FaultableArray::serializeState(serial::Writer &);
-template void FaultableArray::serializeState(serial::Reader &);
 
 } // namespace dfi

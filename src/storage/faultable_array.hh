@@ -217,9 +217,8 @@ class FaultableArray
     void setObserver(AccessObserver *observer) { observer_ = observer; }
 
     /**
-     * Serialize dynamic state (backing words + watch automaton).
-     * Geometry is construction-time data: loading verifies it against
-     * the already-constructed array and fails the reader on mismatch.
+     * Write dynamic state (backing words + watch automaton) into a
+     * Writer; geometry is construction-time data and is not written.
      */
     template <class Ar> void serializeState(Ar &ar);
 

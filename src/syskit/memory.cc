@@ -113,6 +113,5 @@ GuestMemory::serializeState(Ar &ar)
 }
 
 template void GuestMemory::serializeState(serial::Writer &);
-template void GuestMemory::serializeState(serial::Reader &);
 
 } // namespace dfi::syskit

@@ -79,6 +79,5 @@ MiniOs::serializeState(Ar &ar)
 }
 
 template void MiniOs::serializeState(serial::Writer &);
-template void MiniOs::serializeState(serial::Reader &);
 
 } // namespace dfi::syskit

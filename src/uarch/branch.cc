@@ -213,17 +213,9 @@ TournamentPredictor::serializeState(Ar &ar)
     serial::value(ar, globalPht_);
     serial::value(ar, chooser_);
     serial::value(ar, ghr_);
-    if constexpr (!Ar::kSaving) {
-        if (localPht_.size() != kLocalEntries ||
-            localHist_.size() != kLocalEntries ||
-            globalPht_.size() != kGlobalEntries ||
-            chooser_.size() != kGlobalEntries)
-            ar.fail("predictor: table sizes do not match the predictor");
-    }
 }
 
 template void TournamentPredictor::serializeState(serial::Writer &);
-template void TournamentPredictor::serializeState(serial::Reader &);
 
 template <class Ar>
 void
@@ -233,15 +225,9 @@ Btb::serializeState(Ar &ar)
     serial::value(ar, lru_);
     serial::value(ar, stamp_);
     serial::value(ar, counters_);
-    if constexpr (!Ar::kSaving) {
-        if (lru_.size() != cfg_.entries)
-            ar.fail("btb '" + cfg_.name +
-                    "': LRU stamps do not match its entries");
-    }
 }
 
 template void Btb::serializeState(serial::Writer &);
-template void Btb::serializeState(serial::Reader &);
 
 template <class Ar>
 void
@@ -250,14 +236,8 @@ Ras::serializeState(Ar &ar)
     serial::value(ar, top_);
     serial::value(ar, depth_);
     serial::value(ar, array_);
-    if constexpr (!Ar::kSaving) {
-        if (top_ >= entries_ || depth_ > entries_)
-            ar.fail("ras '" + array_.name() +
-                    "': top or depth outside its entries");
-    }
 }
 
 template void Ras::serializeState(serial::Writer &);
-template void Ras::serializeState(serial::Reader &);
 
 } // namespace dfi::uarch

@@ -218,14 +218,8 @@ Cache::serializeState(Ar &ar)
     serial::value(ar, lruStamp_);
     serial::value(ar, stamp_);
     serial::value(ar, counters_);
-    if constexpr (!Ar::kSaving) {
-        if (dirty_.size() != numLines() || lruStamp_.size() != numLines())
-            ar.fail("cache '" + cfg_.name +
-                    "': dirty or LRU books do not match its lines");
-    }
 }
 
 template void Cache::serializeState(serial::Writer &);
-template void Cache::serializeState(serial::Reader &);
 
 } // namespace dfi::uarch

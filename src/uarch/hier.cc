@@ -325,6 +325,5 @@ MemHierarchy::serializeState(Ar &ar)
 }
 
 template void MemHierarchy::serializeState(serial::Writer &);
-template void MemHierarchy::serializeState(serial::Reader &);
 
 } // namespace dfi::uarch

@@ -1540,60 +1540,6 @@ OooCore::approxStateBytes() const
     return bytes;
 }
 
-const char *
-OooCore::loadedStateError() const
-{
-    const auto in_file = [this](std::uint16_t reg) {
-        return reg < cfg_.numPhysInt;
-    };
-    if (renameMap_.size() != isa::kNumArchRegs ||
-        commitMap_.size() != isa::kNumArchRegs)
-        return "register maps do not cover the architectural registers";
-    if (!std::all_of(renameMap_.begin(), renameMap_.end(), in_file) ||
-        !std::all_of(commitMap_.begin(), commitMap_.end(), in_file) ||
-        !std::all_of(freeList_.begin(), freeList_.end(), in_file))
-        return "a register map or the free list names a register "
-               "outside numPhysInt";
-    if (physFree_.size() != cfg_.numPhysInt ||
-        physReady_.size() != cfg_.numPhysInt)
-        return "register flags do not match numPhysInt";
-    const std::uint32_t lq_slots =
-        cfg_.unifiedLsq ? cfg_.lsqEntries : cfg_.lqEntries;
-    if (lqBusy_.size() != lq_slots ||
-        sqBusy_.size() != (cfg_.unifiedLsq ? 0 : cfg_.sqEntries))
-        return "load/store queue occupancy does not match the "
-               "configuration";
-    if (rob_.size() != cfg_.robEntries || robHead_ >= cfg_.robEntries ||
-        robCount_ > cfg_.robEntries)
-        return "ROB ring does not match robEntries";
-    // issueStage() takes a valid uop's ring offset for its age.
-    for (std::uint32_t slot = 0; slot < cfg_.robEntries; ++slot) {
-        const Uop &uop = rob_[slot];
-        if (uop.valid != (robOffset(slot) < robCount_))
-            return "ROB valid flags do not match the head/count window";
-        if (!uop.valid)
-            continue;
-        const std::size_t queue = cfg_.unifiedLsq || uop.isLoad
-                                      ? lqBusy_.size()
-                                      : sqBusy_.size();
-        if (uop.iqSlot < -1 ||
-            uop.iqSlot >= static_cast<int>(cfg_.iqEntries) ||
-            uop.lsqSlot < -1 ||
-            uop.lsqSlot >= static_cast<int>(queue))
-            return "a ROB entry names a queue slot outside the "
-                   "configuration";
-        if ((uop.archDst != Uop::kNoArch &&
-             uop.archDst >= isa::kNumArchRegs) ||
-            (uop.archDst2 != Uop::kNoArch &&
-             uop.archDst2 >= isa::kNumArchRegs))
-            return "a ROB entry names an unknown architectural register";
-        if ((uop.isLoad || uop.isStore) &&
-            (uop.memWidth == 0 || uop.memWidth > 4))
-            return "a ROB entry has a memory width outside 1..4 bytes";
-    }
-    return nullptr;
-}
-
 template <class Ar>
 void
 Uop::serializeState(Ar &ar)
@@ -1638,7 +1584,6 @@ Uop::serializeState(Ar &ar)
 }
 
 template void Uop::serializeState(serial::Writer &);
-template void Uop::serializeState(serial::Reader &);
 
 template <class Ar>
 void
@@ -1650,16 +1595,14 @@ FetchedInst::serializeState(Ar &ar)
 }
 
 template void FetchedInst::serializeState(serial::Writer &);
-template void FetchedInst::serializeState(serial::Reader &);
 
 template <class Ar>
 void
 OooCore::serializeState(Ar &ar)
 {
-    // cfg_ is construction-time data and is deliberately not part of
-    // the stream; the loader constructs the core from the same config
-    // first.  Every member below is dynamic state, listed in
-    // declaration order.
+    // cfg_ is construction-time data and is not part of the stream.
+    // Every member below is dynamic state, listed in declaration
+    // order.
     serial::value(ar, counters_);
     serial::value(ar, record_);
     serial::value(ar, os_);
@@ -1679,14 +1622,6 @@ OooCore::serializeState(Ar &ar)
     serial::value(ar, fetchRing_);
     serial::value(ar, fetchHead_);
     serial::value(ar, fetchCount_);
-    if constexpr (!Ar::kSaving) {
-        if (fetchRing_.size() != 3 * std::size_t{cfg_.fetchWidth} ||
-            (!fetchRing_.empty() && fetchHead_ >= fetchRing_.size()) ||
-            fetchCount_ > fetchRing_.size()) {
-            ar.fail("core: fetch ring does not match the configuration");
-            return;
-        }
-    }
     serial::value(ar, intRf_);
     serial::value(ar, fpRf_);
     serial::value(ar, renameMap_);
@@ -1698,36 +1633,15 @@ OooCore::serializeState(Ar &ar)
     serial::value(ar, robHead_);
     serial::value(ar, robCount_);
     serial::value(ar, iqArray_);
-    // The IQ occupancy mask travels as the one byte per slot of the
-    // std::vector<bool> it replaced, so archives keep their bytes.
-    std::vector<bool> iq_busy(cfg_.iqEntries);
-    for (std::uint32_t s = 0; s < cfg_.iqEntries; ++s)
-        iq_busy[s] = (iqBusy_ & iqBit(static_cast<int>(s))) != 0;
-    serial::value(ar, iq_busy);
+    serial::value(ar, iqBusy_);
     serial::value(ar, lsqData_);
     serial::value(ar, lqData_);
     serial::value(ar, sqData_);
     serial::value(ar, lqBusy_);
     serial::value(ar, sqBusy_);
     serial::value(ar, frontendStallUntil_);
-    if constexpr (!Ar::kSaving) {
-        if (!ar.ok())
-            return;
-        if (iq_busy.size() != cfg_.iqEntries) {
-            ar.fail("core: IQ occupancy does not match iqEntries");
-            return;
-        }
-        iqBusy_ = 0;
-        for (std::uint32_t s = 0; s < cfg_.iqEntries; ++s) {
-            if (iq_busy[s])
-                iqBusy_ |= iqBit(static_cast<int>(s));
-        }
-        if (const char *why = loadedStateError())
-            ar.fail(std::string("core: ") + why);
-    }
 }
 
 template void OooCore::serializeState(serial::Writer &);
-template void OooCore::serializeState(serial::Reader &);
 
 } // namespace dfi::uarch

@@ -241,9 +241,10 @@ class OooCore
     std::uint64_t approxStateBytes() const;
 
     /**
-     * Serialize every dynamic member (cache spill).  Geometry lives in
-     * CoreConfig: loading requires a core freshly constructed from the
-     * same (config, image) pair, whose state is then overwritten.
+     * Write every dynamic member into a Writer: a counting writer
+     * measures what a snapshot keeps alive (CheckpointStore::
+     * heldBytes).  Geometry lives in CoreConfig and is not written;
+     * a core is never read back from bytes.
      */
     template <class Ar> void serializeState(Ar &ar);
 
@@ -262,8 +263,7 @@ class OooCore
 
     /**
      * ROB slot `offset` entries after the head.  robHead_ and offset
-     * are both below robEntries (the loader checks robHead_), so one
-     * subtraction wraps the ring.
+     * are both below robEntries, so one subtraction wraps the ring.
      */
     std::uint32_t
     robIndex(std::uint32_t offset) const
@@ -302,13 +302,6 @@ class OooCore
     void fetchPush(const FetchedInst &fetched);
     void doSyscall(Uop &uop);
     dfi::FaultableArray &lsqArrayFor(const Uop &uop, int *entry) const;
-
-    /**
-     * Why freshly loaded state lies outside the configuration (a ROB
-     * window, queue, register map or slot index the core would index
-     * past), or nullptr when it is consistent.
-     */
-    const char *loadedStateError() const;
 
     /**
      * Report a change of physFree_/iqBusy_/lqBusy_/sqBusy_ to the

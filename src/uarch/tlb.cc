@@ -73,6 +73,5 @@ Tlb::serializeState(Ar &ar)
 }
 
 template void Tlb::serializeState(serial::Writer &);
-template void Tlb::serializeState(serial::Reader &);
 
 } // namespace dfi::uarch
