@@ -9,16 +9,18 @@
 #   - bench_table1_capabilities .. bench_table4_structures, stdout
 #     and JSON twin;
 #   - bench_ablation_policies at DFI_INJECTIONS=100;
-#   - Figs. 2-6 once more on a reduced matrix (sha and smooth, 60 runs
-#     per cell), pruned and with DFI_NO_PRUNE=1, compared with each
-#     other (text and JSON twin).
+#   - Figs. 2-6 once more with DFI_NO_PRUNE=1 at DFI_INJECTIONS=150
+#     (the same 22,500 runs, every one simulated): each transcript
+#     against results/, each JSON twin against the pruned run's twin.
 #
 # Every pruned run of the figures is classified from a golden trace,
 # so this is the check that holds the classifier to the paper's
 # numbers, not just to the `micro` smoke campaigns.  Every unpruned
-# run is simulated from a dense checkpoint, so the last leg holds the
-# restores to the same numbers.  Benches write their JSON twins to
-# WORKDIR, never into results/.
+# run is simulated from the restore store of its prepared program
+# (snapshots at a spacing computed from the golden run's length), so
+# the last leg holds the restores and that schedule to the same
+# numbers.  Benches write their JSON twins to WORKDIR, never into
+# results/.
 #
 # Usage:
 #   scripts/check_figures.sh [WORKDIR]
@@ -90,21 +92,18 @@ for bench in "${TABLES[@]}"; do
 done
 run bench_ablation_policies 100
 
-# Pruning is an execution strategy: with it off, each figure of the
-# reduced matrix must print the same bytes.
-mkdir -p "$WORKDIR/pruned" "$WORKDIR/unpruned"
+# Pruning is an execution strategy: with it off, every figure must
+# print the same bytes and write the same JSON twin.
+mkdir -p "$WORKDIR/unpruned"
 for bench in "${FIGURES[@]}"; do
     started=$SECONDS
-    for no_prune in 0 1; do
-        mode=$([[ "$no_prune" == 1 ]] && echo unpruned || echo pruned)
-        env DFI_BENCHMARKS=sha,smooth DFI_INJECTIONS=60 \
-            DFI_NO_PRUNE="$no_prune" DFI_TELEMETRY_DIR="$WORKDIR/$mode" \
-            "$BENCH_DIR/$bench" > "$WORKDIR/$mode/$bench.txt" \
-            2> "$WORKDIR/$mode/$bench.log"
-    done
-    same "$WORKDIR/unpruned/$bench.txt" "$WORKDIR/pruned/$bench.txt"
-    same "$WORKDIR/unpruned/$bench.json" "$WORKDIR/pruned/$bench.json"
-    echo "== $bench pruned = unpruned ($((SECONDS - started)) s)" >&2
+    env DFI_INJECTIONS=150 DFI_NO_PRUNE=1 \
+        DFI_TELEMETRY_DIR="$WORKDIR/unpruned" \
+        "$BENCH_DIR/$bench" > "$WORKDIR/unpruned/$bench.txt" \
+        2> "$WORKDIR/unpruned/$bench.log"
+    same "$WORKDIR/unpruned/$bench.txt" "results/$bench.txt"
+    same "$WORKDIR/unpruned/$bench.json" "$WORKDIR/$bench.json"
+    echo "== $bench unpruned ($((SECONDS - started)) s)" >&2
 done
 
 if [[ "$status" -ne 0 ]]; then
@@ -117,4 +116,4 @@ if [[ "$status" -ne 0 ]]; then
 fi
 echo "OK: 5 figures, 4 tables (+ JSON twins) and the policy ablation" >&2
 echo "    are byte-identical to results/, and the figures are" >&2
-echo "    byte-identical pruned and unpruned on sha and smooth." >&2
+echo "    byte-identical pruned and unpruned (22,500 simulated runs)." >&2

@@ -377,7 +377,8 @@ PreparedCampaign::refined() const
     std::shared_ptr<CheckpointStore> built;
     std::uint64_t held = 0;
     try {
-        built = std::make_shared<CheckpointStore>(checkpoints.policy());
+        built = std::make_shared<CheckpointStore>(checkpoints.policy(),
+                                                  golden.cycles);
         uarch::OooCore core = checkpoints.sourceFor(0);
         built->captureBase(core);
         // The golden run again, observed every tick: every snapshot
@@ -628,10 +629,11 @@ InjectionCampaign::runTask(const RunTask &task) const
 
     const bool single_transient =
         masks.size() == 1 && masks[0].type == FaultType::Transient;
-    const std::uint64_t limit = std::min<std::uint64_t>(
-        kAbsoluteCycleCap,
-        static_cast<std::uint64_t>(
-            static_cast<double>(prep_->golden.cycles) * cfg_.timeoutFactor));
+    // Clamped in floating point: a product at or past 2^64 has no
+    // integer conversion.
+    const std::uint64_t limit = static_cast<std::uint64_t>(std::min(
+        static_cast<double>(kAbsoluteCycleCap),
+        static_cast<double>(prep_->golden.cycles) * cfg_.timeoutFactor));
 
     bool injected = false;
     bool watch_armed = false;
@@ -819,20 +821,18 @@ InjectionCampaign::run(const Progress &progress)
     if (plan.numRuns() > 0)
         useRefined();
 
-    // Execute: serial or thread pool per cfg_.jobs; either way the
-    // results come back in runId order.
+    // Execute on cfg_.jobs workers; the results come back in runId
+    // order for every job count.
     CampaignReporter reporter(progress, plan.numRuns());
-    const std::unique_ptr<Executor> executor =
-        makeExecutor({cfg_.jobs});
 
     // Telemetry attaches at the reporter's ordered-commit point, so
-    // the stream is identical for every executor and job count.  It
-    // streams to disk line-by-line: a killed campaign leaves a
-    // resumable partial instead of nothing.
+    // the stream is identical for every job count.  It streams to
+    // disk line-by-line: a killed campaign leaves a resumable partial
+    // instead of nothing.
     std::unique_ptr<TelemetryWriter> telemetry;
     if (!cfg_.telemetryOut.empty() || cfg_.telemetryCapture) {
         telemetry = std::make_unique<TelemetryWriter>(
-            cfg_, prep_->golden, total_runs, executor->jobs(),
+            cfg_, prep_->golden, total_runs, resolveJobs(cfg_.jobs),
             plan.pruneStats(), TelemetryOptions{cfg_.telemetryTiming});
         // Capture-only telemetry (the campaign service) stays in
         // memory; a path additionally streams every line to disk.
@@ -855,8 +855,8 @@ InjectionCampaign::run(const Progress &progress)
             });
     }
 
-    std::vector<TaskResult> task_results = executor->run(
-        plan,
+    std::vector<TaskResult> task_results = runTasks(
+        plan, cfg_.jobs,
         [this](const RunTask &task) {
             const auto started = std::chrono::steady_clock::now();
             TaskResult task_result = runTask(task);

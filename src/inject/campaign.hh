@@ -24,8 +24,8 @@
  * ~10 workstations; we parallelize across threads):
  *  - planning  (inject/plan.hh)      resolves config + golden run +
  *    sampling + masks into an immutable CampaignPlan of RunTasks;
- *  - executor  (inject/executor.hh)  schedules the tasks serially or
- *    on a thread pool (CampaignConfig::jobs), committing results in
+ *  - task loop (inject/executor.hh)  runs the tasks on the calling
+ *    thread or on CampaignConfig::jobs threads, committing results in
  *    runId order so the output is bit-identical either way;
  *  - reporting (inject/reporting.hh) serialises progress callbacks
  *    and stats aggregation from the workers.

@@ -9,8 +9,9 @@
 namespace dfi::inject
 {
 
-CheckpointStore::CheckpointStore(CheckpointPolicy policy)
-    : policy_(policy)
+CheckpointStore::CheckpointStore(CheckpointPolicy policy,
+                                 std::uint64_t runCycles)
+    : policy_(policy), runCycles_(runCycles)
 {
 }
 
@@ -27,8 +28,6 @@ CheckpointStore::captureBase(const uarch::OooCore &core)
     maxLive_ = 1;
     budgetLimited_ = false;
     if (policy_.enabled && policy_.targetCount > 1) {
-        // Capture runs ahead of the target so thinning converges on
-        // [targetCount, 2 x targetCount) evenly-spaced snapshots.
         maxLive_ = static_cast<std::size_t>(policy_.targetCount) * 2;
         if (policy_.budgetBytes > 0 && snapshotBytes_ > 0) {
             const std::uint64_t affordable =
@@ -44,39 +43,23 @@ CheckpointStore::captureBase(const uarch::OooCore &core)
             }
         }
     }
-    interval_ = std::max<std::uint64_t>(1, policy_.initialInterval);
+    // The densest spacing of 64 x 2^k cycles at which the cap covers
+    // the whole run, so the store never has to drop a snapshot.
+    interval_ = 64;
+    while (maxLive_ * interval_ < runCycles_)
+        interval_ *= 2;
     next_ = core.cycle() + interval_;
 }
 
 void
 CheckpointStore::observe(const uarch::OooCore &core)
 {
-    if (maxLive_ <= 1 || core.cycle() < next_)
+    if (snapshots_.size() >= maxLive_ || core.cycle() < next_)
         return;
     snapshots_.push_back(
         std::make_shared<const uarch::OooCore>(core));
     cycles_.push_back(core.cycle());
     next_ += interval_;
-    if (snapshots_.size() > maxLive_)
-        thin();
-}
-
-void
-CheckpointStore::thin()
-{
-    // Drop every other non-base snapshot and double the spacing: the
-    // cadence adapts to the (unknown in advance) golden run length
-    // while holding at most maxLive_ snapshots at any moment.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < snapshots_.size(); i += 2) {
-        snapshots_[keep] = std::move(snapshots_[i]);
-        cycles_[keep] = cycles_[i];
-        ++keep;
-    }
-    snapshots_.resize(keep);
-    cycles_.resize(keep);
-    interval_ *= 2;
-    next_ = cycles_.back() + interval_;
 }
 
 std::size_t

@@ -6,21 +6,21 @@
  * a simulator checkpoint near its injection cycle instead of from
  * reset.  This store captures those snapshots while a golden run
  * plays, by observing the golden core every cycle and snapshotting it
- * at an adaptive interval:
+ * at a spacing computed from the run's length before it starts:
  *
- *  - capture starts at a small interval (the golden run length is
- *    unknown in advance);
- *  - whenever the live snapshot count exceeds its cap, every other
- *    non-base snapshot is dropped and the interval doubles, so the
- *    store converges on [targetCount, 2 x targetCount) evenly-spaced
- *    snapshots for any run length;
- *  - a byte budget caps the snapshot count via a conservative
- *    per-snapshot bound (uarch::OooCore::approxStateBytes).  When
- *    even two snapshots do not fit — e.g. full-scale L2 data arrays
- *    under a small budget — capture drops down to the base snapshot
- *    alone (runs start from reset, exactly as with checkpointing
- *    disabled).  Snapshots are dropped, never spilled: restoring
- *    from disk would cost more than re-simulating the interval.
+ *  - the policy and the core's per-snapshot bound fix a cap on live
+ *    snapshots: twice the target, or fewer when a byte budget
+ *    (charged at uarch::OooCore::approxStateBytes) cannot afford that
+ *    many, down to the base snapshot alone (runs then start from
+ *    reset, exactly as with checkpointing disabled);
+ *  - the spacing I is the smallest 64 x 2^k for which cap x I covers
+ *    the announced run length, and the store captures at every
+ *    multiple of I until it holds the cap.  It never drops a
+ *    snapshot, so any prefix of the pass is a prefix of the store.  A
+ *    store told no length spaces its snapshots 64 cycles apart.
+ *    Snapshots past the cap are never taken rather than spilled:
+ *    restoring from disk would cost more than re-simulating the
+ *    interval.
  *
  * Snapshots are COW-backed OooCore copies (storage/cow_buffer.hh):
  * capturing one copies page tables, not pages, and the store holds
@@ -34,8 +34,9 @@
  * A prepared campaign keeps only the base (reset) snapshot of a store
  * with the campaign's policy; a load from the disk spill rebuilds it
  * from the config.  Faulty runs restore from the store a replay of
- * the golden run from that snapshot captures under the same policy,
- * built on first use (PreparedCampaign::refined()).
+ * the golden run from that snapshot captures under the same policy
+ * and the golden run's length, built on first use
+ * (PreparedCampaign::refined()).
  */
 
 #ifndef DFI_INJECT_CHECKPOINT_HH
@@ -59,7 +60,10 @@ struct CheckpointPolicy
     /** false = keep only the base (reset) snapshot. */
     bool enabled = true;
 
-    /** Snapshots to converge on (beyond the base one). */
+    /**
+     * Snapshots to aim for beyond the base one; the store holds up to
+     * twice as many.
+     */
     std::uint32_t targetCount = 64;
 
     /**
@@ -67,9 +71,6 @@ struct CheckpointPolicy
      * conservative per-snapshot bound; 0 = unlimited.
      */
     std::uint64_t budgetBytes = 0;
-
-    /** Initial capture spacing in cycles (doubles as needed). */
-    std::uint64_t initialInterval = 64;
 };
 
 /** Captures while a golden run plays, serves restores during runs. */
@@ -77,16 +78,27 @@ class CheckpointStore
 {
   public:
     CheckpointStore() = default;
-    explicit CheckpointStore(CheckpointPolicy policy);
+
+    /**
+     * @param runCycles length of the run the store will observe; 0
+     *        (unknown) spaces snapshots 64 cycles apart.
+     */
+    explicit CheckpointStore(CheckpointPolicy policy,
+                             std::uint64_t runCycles = 0);
 
     /**
      * Capture the base (pre-tick) snapshot and derive the live cap
-     * from the policy and the core's state-size bound.  Resets any
-     * previous capture state.
+     * from the policy and the core's state-size bound, then the
+     * spacing from the cap and the run length.  Resets any previous
+     * capture state.
      */
     void captureBase(const uarch::OooCore &core);
 
-    /** Golden-pass hook: call after every tick of the golden core. */
+    /**
+     * Golden-pass hook: call after every tick of the golden core.
+     * Captures at every multiple of the spacing until the store holds
+     * its cap.
+     */
     void observe(const uarch::OooCore &core);
 
     /**
@@ -126,9 +138,8 @@ class CheckpointStore
     std::uint64_t heldBytes() const;
 
   private:
-    void thin();
-
     CheckpointPolicy policy_;
+    std::uint64_t runCycles_ = 0;
     std::vector<std::shared_ptr<const uarch::OooCore>> snapshots_;
     std::vector<std::uint64_t> cycles_;
     std::uint64_t interval_ = 0;

@@ -18,27 +18,13 @@ resolveJobs(std::uint32_t requested)
 }
 
 std::vector<TaskResult>
-SerialExecutor::run(const CampaignPlan &plan, const TaskRunner &runner,
-                    CampaignReporter &reporter)
-{
-    std::vector<TaskResult> results;
-    results.reserve(plan.tasks().size());
-    for (const RunTask &task : plan.tasks()) {
-        results.push_back(runner(task));
-        reporter.commit(task, results.back());
-    }
-    return results;
-}
-
-std::vector<TaskResult>
-ThreadPoolExecutor::run(const CampaignPlan &plan,
-                        const TaskRunner &runner,
-                        CampaignReporter &reporter)
+runTasks(const CampaignPlan &plan, std::uint32_t jobs,
+         const TaskRunner &runner, CampaignReporter &reporter)
 {
     const std::vector<RunTask> &tasks = plan.tasks();
     std::vector<TaskResult> results(tasks.size());
-    // One error slot per task: after the join, the lowest-runId error
-    // is rethrown, so failures are as deterministic as the runs.
+    // One error slot per task: the lowest-position error is rethrown
+    // after the join, so failures are as deterministic as the runs.
     std::vector<std::exception_ptr> errors(tasks.size());
     std::atomic<std::size_t> next{0};
     std::atomic<bool> aborted{false};
@@ -53,7 +39,7 @@ ThreadPoolExecutor::run(const CampaignPlan &plan,
                 results[index] = runner(tasks[index]);
                 // The slots are stable storage: the reporter's
                 // ordered-commit sink may read them until the join.
-                reporter.commit(tasks[index], results[index]);
+                reporter.commit(index, tasks[index], results[index]);
             } catch (...) {
                 errors[index] = std::current_exception();
                 aborted.store(true, std::memory_order_relaxed);
@@ -62,29 +48,24 @@ ThreadPoolExecutor::run(const CampaignPlan &plan,
         }
     };
 
-    const std::size_t workers = std::min<std::size_t>(
-        jobs_, tasks.empty() ? 1 : tasks.size());
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-        pool.emplace_back(work);
-    for (std::thread &worker : pool)
-        worker.join();
+    const std::size_t workers =
+        std::min<std::size_t>(resolveJobs(jobs), tasks.size());
+    if (workers <= 1) {
+        work();
+    } else {
+        // A jthread joins when destroyed: every worker has returned
+        // when this scope ends, also if starting one of them threw.
+        std::vector<std::jthread> pool;
+        pool.reserve(workers);
+        for (std::size_t i = 0; i < workers; ++i)
+            pool.emplace_back(work);
+    }
 
     for (const std::exception_ptr &error : errors) {
         if (error)
             std::rethrow_exception(error);
     }
     return results;
-}
-
-std::unique_ptr<Executor>
-makeExecutor(const ExecutorConfig &config)
-{
-    const std::uint32_t jobs = resolveJobs(config.jobs);
-    if (jobs <= 1)
-        return std::make_unique<SerialExecutor>();
-    return std::make_unique<ThreadPoolExecutor>(jobs);
 }
 
 } // namespace dfi::inject

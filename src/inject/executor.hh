@@ -1,22 +1,16 @@
 /**
  * @file
- * Campaign executor layer (layer 2 of the execution engine).
+ * Campaign task loop (layer 2 of the execution engine).
  *
- * An Executor schedules the independent RunTasks of a CampaignPlan
- * onto workers and returns the TaskResults **in runId order**,
- * regardless of the order in which tasks actually completed.  That
- * ordering guarantee, plus the immutability of the plan and of the
- * shared simulator checkpoints, is the determinism contract: for a
- * fixed (config, program, seed) every executor — serial or any
- * thread count — produces byte-identical records, masks, and
- * classification counts.
- *
- * Two implementations:
- *  - SerialExecutor      runs tasks in runId order on the caller's
- *                        thread (the historical campaign loop);
- *  - ThreadPoolExecutor  runs tasks on N std::thread workers, each
- *                        claiming the next unclaimed task and
- *                        committing its result into the task's slot.
+ * runTasks() runs the independent RunTasks of a CampaignPlan on
+ * `jobs` workers and returns their TaskResults in plan order,
+ * regardless of the order in which tasks actually completed.  Workers
+ * claim tasks in plan order; with one worker the loop runs on the
+ * calling thread, otherwise on that many std::jthreads.  That ordering
+ * guarantee, plus the immutability of the plan and of the shared
+ * simulator checkpoints, is the determinism contract: for a fixed
+ * (config, program, seed) every job count produces byte-identical
+ * records, masks, and classification counts.
  */
 
 #ifndef DFI_INJECT_EXECUTOR_HH
@@ -24,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "inject/plan.hh"
@@ -39,79 +32,23 @@ namespace dfi::inject
  */
 using TaskRunner = std::function<TaskResult(const RunTask &)>;
 
-/** Executor scheduling parameters. */
-struct ExecutorConfig
-{
-    /** Worker threads; 1 = serial, 0 = hardware concurrency. */
-    std::uint32_t jobs = 1;
-};
-
 /**
  * Resolve a requested job count: 0 becomes the hardware concurrency
  * (at least 1).
  */
 std::uint32_t resolveJobs(std::uint32_t requested);
 
-/** Common executor interface. */
-class Executor
-{
-  public:
-    virtual ~Executor() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Worker threads this executor will use. */
-    virtual std::uint32_t jobs() const = 0;
-
-    /**
-     * Run every task of `plan` through `runner`; report each finished
-     * task (and its record's counters) to `reporter`.
-     * @return one TaskResult per task, indexed by runId.
-     */
-    virtual std::vector<TaskResult> run(const CampaignPlan &plan,
-                                        const TaskRunner &runner,
-                                        CampaignReporter &reporter) = 0;
-};
-
-/** Runs tasks one after another on the calling thread. */
-class SerialExecutor : public Executor
-{
-  public:
-    const char *name() const override { return "serial"; }
-    std::uint32_t jobs() const override { return 1; }
-    std::vector<TaskResult> run(const CampaignPlan &plan,
-                                const TaskRunner &runner,
-                                CampaignReporter &reporter) override;
-};
-
 /**
- * Runs tasks on a pool of std::thread workers.  Results are committed
- * into per-runId slots, so the returned vector is bit-identical to
- * SerialExecutor's for the same plan and runner.
+ * Run every task of `plan` through `runner` on resolveJobs(jobs)
+ * workers, committing each finished task to `reporter` with its plan
+ * position.  A failed task stops further claims; after every worker
+ * returned, the error of the lowest plan position is rethrown.
+ * @return one TaskResult per task, in plan order.
  */
-class ThreadPoolExecutor : public Executor
-{
-  public:
-    /** @param jobs worker count; 0 = hardware concurrency. */
-    explicit ThreadPoolExecutor(std::uint32_t jobs)
-        : jobs_(resolveJobs(jobs))
-    {}
-
-    const char *name() const override { return "thread-pool"; }
-    std::uint32_t jobs() const override { return jobs_; }
-    std::vector<TaskResult> run(const CampaignPlan &plan,
-                                const TaskRunner &runner,
-                                CampaignReporter &reporter) override;
-
-  private:
-    std::uint32_t jobs_;
-};
-
-/**
- * Pick an executor for the requested job count: SerialExecutor for an
- * effective single job, ThreadPoolExecutor otherwise.
- */
-std::unique_ptr<Executor> makeExecutor(const ExecutorConfig &config);
+std::vector<TaskResult> runTasks(const CampaignPlan &plan,
+                                 std::uint32_t jobs,
+                                 const TaskRunner &runner,
+                                 CampaignReporter &reporter);
 
 } // namespace dfi::inject
 

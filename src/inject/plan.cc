@@ -92,10 +92,8 @@ CampaignPlan::CampaignPlan(CampaignConfig config,
       masks_(std::move(masks)), totalRuns_(num_runs)
 {
     tasks_.resize(num_runs);
-    for (std::uint64_t run_id = 0; run_id < num_runs; ++run_id) {
+    for (std::uint64_t run_id = 0; run_id < num_runs; ++run_id)
         tasks_[run_id].runId = run_id;
-        tasks_[run_id].ordinal = run_id;
-    }
     for (const dfi::FaultMask &mask : masks_) {
         if (mask.runId >= num_runs)
             panic("plan: mask runId %s out of range (%s runs)",
@@ -133,7 +131,6 @@ CampaignPlan::applyPruning(
                   run_id, task.masks.size());
         if (cls.verdict == SiteVerdict::Simulate) {
             task.pruneClass = cls.pruneClass;
-            task.ordinal = kept.size();
             kept.push_back(std::move(task));
             ++stats.simulated;
             continue;
@@ -167,10 +164,8 @@ CampaignPlan::filtered(
     view.totalRuns_ = totalRuns_;
     view.pruneStats_ = pruneStats_; // campaign-wide, never view-local
     for (const RunTask &task : tasks_) {
-        if (!keep(task.runId))
-            continue;
-        view.tasks_.push_back(task);
-        view.tasks_.back().ordinal = view.tasks_.size() - 1;
+        if (keep(task.runId))
+            view.tasks_.push_back(task);
     }
     view.pruned_.reserve(pruned_.size());
     for (const PrunedRun &pruned : pruned_) {
@@ -218,8 +213,6 @@ CampaignPlan::shardView(const ShardSpec &shard) const
                   [](const RunTask &a, const RunTask &b) {
                       return a.runId < b.runId;
                   });
-        for (std::size_t i = 0; i < view.tasks_.size(); ++i)
-            view.tasks_[i].ordinal = i;
     }
     return view;
 }

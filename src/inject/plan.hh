@@ -20,7 +20,7 @@
  *
  * The result is an immutable CampaignPlan: a flat list of independent
  * RunTasks plus the pruned runs with their precomputed outcomes.  A
- * plan is pure data; executors (inject/executor.hh) may schedule its
+ * plan is pure data; the task loop (inject/executor.hh) may run its
  * tasks in any order and on any number of workers, and because every
  * task is self-contained the campaign outcome is bit-identical no
  * matter how the tasks are scheduled.  Stages 2-3 only run when the
@@ -57,14 +57,6 @@ namespace dfi::inject
 struct RunTask
 {
     std::uint64_t runId = 0;
-    /**
-     * Position of this task in its plan's task list.  For a full
-     * plan ordinal == runId; shard/resume views renumber ordinals
-     * 0..n-1 while runIds keep their campaign-wide identity.  The
-     * reporter's commit frontier advances over ordinals, so ordered
-     * commit works for any plan view.
-     */
-    std::uint64_t ordinal = 0;
     std::vector<dfi::FaultMask> masks;
     std::uint64_t firstCycle = 0; //!< earliest injection cycle
     /**
@@ -126,8 +118,8 @@ struct TaskResult
  * plans that execute a subset of the tasks while keeping the full
  * mask repository, seeds, and campaign size (totalRuns()) untouched —
  * the deterministic foundation of `--shard` and `--resume`.  Every
- * run keeps its campaign-wide runId; only the ordinals (commit
- * positions) are renumbered.
+ * run keeps its campaign-wide runId, and every view lists its tasks
+ * in ascending runId order.
  */
 class CampaignPlan
 {
@@ -170,8 +162,8 @@ class CampaignPlan
 
     /**
      * Apply the classification pipeline's verdicts (stage 4):
-     * non-Simulate runs move from the task list into pruned(),
-     * representatives keep their pruneClass, and ordinals renumber.
+     * non-Simulate runs move from the task list into pruned(), and
+     * representatives keep their pruneClass.
      * `classifications` must be indexed by runId over the full plan
      * (single-bit campaigns only — one mask per run).  Call at most
      * once, on a full (unviewed) plan.

@@ -7,30 +7,22 @@ namespace dfi::inject
 {
 
 void
-CampaignReporter::taskDoneLocked()
-{
-    ++done_;
-    if (progress_)
-        progress_(done_, total_);
-}
-
-void
-CampaignReporter::commit(const RunTask &task, const TaskResult &result)
+CampaignReporter::commit(std::size_t position, const RunTask &task,
+                         const TaskResult &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.merge(result.record.stats);
-    taskDoneLocked();
+    ++done_;
+    if (progress_)
+        progress_(done_, total_);
 
     if (!sink_)
         return;
-    if (task.ordinal < frontier_ || pending_.count(task.ordinal) != 0)
+    if (position < frontier_ || pending_.count(position) != 0)
         panic("reporter: task %s committed twice", task.runId);
-    pending_.emplace(task.ordinal, std::make_pair(&task, &result));
+    pending_.emplace(position, std::make_pair(&task, &result));
     // Replay every consecutively-finished task at the frontier, so
     // the sink observes plan order no matter how completions raced.
-    // Ordinals (not runIds) key the frontier: a shard or resume view
-    // executes a non-contiguous runId subset, but its ordinals are
-    // always 0..n-1 in ascending runId order.
     for (auto it = pending_.begin();
          it != pending_.end() && it->first == frontier_;
          it = pending_.erase(it), ++frontier_) {

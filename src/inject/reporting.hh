@@ -2,23 +2,24 @@
  * @file
  * Campaign reporting layer (layer 3 of the execution engine).
  *
- * Executors run tasks on worker threads; everything those workers
- * report — user progress callbacks, aggregated common/stats counters,
- * the telemetry stream — funnels through a CampaignReporter, which
- * serialises the calls behind one mutex.  The user-visible sequence of
- * progress callbacks (done, total) is identical for every executor:
- * `done` is the count of finished tasks, which advances 1..total
- * regardless of the order in which the tasks actually finish.
+ * The task loop (inject/executor.hh) runs tasks on worker threads;
+ * everything those workers report — user progress callbacks,
+ * aggregated common/stats counters, the telemetry stream — funnels
+ * through a CampaignReporter, which serialises the calls behind one
+ * mutex.  The user-visible sequence of progress callbacks (done,
+ * total) is identical for every job count: `done` is the count of
+ * finished tasks, which advances 1..total regardless of the order in
+ * which the tasks actually finish.
  *
  * The reporter is also the engine's *ordered-commit point*: workers
- * hand each finished (task, result) pair to commit(), which reorders
- * racing completions behind the plan-order frontier (RunTask::ordinal
- * — equal to runId for a full plan, renumbered 0..n-1 for shard and
- * resume views) and replays them to the commit sink strictly in that
+ * hand each finished task to commit() with its position in the plan's
+ * task list, and the reporter reorders racing completions behind the
+ * position frontier and replays them to the commit sink strictly in
+ * plan order.  A shard or resume view executes a non-contiguous runId
+ * subset, but its positions are always 0..n-1 in ascending runId
  * order.  Consumers attached there (inject/telemetry.hh) therefore
- * observe the exact same sequence for every executor and job count —
- * that is what makes campaign artifacts byte-identical across
- * `--jobs` values.
+ * observe the exact same sequence for every job count — that is what
+ * makes campaign artifacts byte-identical across `--jobs` values.
  *
  * (Log lines from workers need no help from this layer: common/logging
  * emits each line atomically; see logging.cc.)
@@ -59,72 +60,44 @@ class CampaignReporter
         : progress_(std::move(progress)), total_(total)
     {}
 
-    /** Attach the ordered-commit consumer (before the executor runs). */
+    /** Attach the ordered-commit consumer (before the tasks run). */
     void setCommitSink(CommitSink sink) { sink_ = std::move(sink); }
 
     /**
-     * Record one finished task: merges its counters, bumps the done
-     * counter, invokes the progress callback, and replays every
-     * result at the runId frontier to the commit sink in order.  The
-     * caller must keep `task` and `result` alive and immutable until
-     * the executor returns (both executors commit into stable
-     * per-runId storage, so this holds by construction).
+     * Record the finished task at `position` in its plan's task list:
+     * merges its counters, bumps the done counter, invokes the
+     * progress callback, and replays every result at the position
+     * frontier to the commit sink in order.  The caller must keep
+     * `task` and `result` alive and immutable until the task loop
+     * returns (runTasks commits from stable per-position storage, so
+     * this holds by construction).
      */
-    void commit(const RunTask &task, const TaskResult &result);
+    void commit(std::size_t position, const RunTask &task,
+                const TaskResult &result);
 
     /**
-     * Record one finished task: bumps the done counter and invokes
-     * the progress callback (if any) while holding the lock, so
-     * callbacks never interleave and `done` is strictly increasing.
-     */
-    void
-    taskDone()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        taskDoneLocked();
-    }
-
-    /** Merge a finished run's counters into the campaign aggregate. */
-    void
-    addStats(const dfi::StatSet &stats)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.merge(stats);
-    }
-
-    /** Tasks finished so far. */
-    std::uint64_t
-    done() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return done_;
-    }
-
-    /**
-     * Campaign-wide counter aggregate.  Only read this after the
-     * executor returned (all workers joined); counter addition is
+     * Campaign-wide counter aggregate.  Only read this after the task
+     * loop returned (all workers joined); counter addition is
      * commutative, so the aggregate is identical for any completion
      * order.
      */
     const dfi::StatSet &aggregateStats() const { return stats_; }
 
   private:
-    void taskDoneLocked();
-
     Progress progress_;
     CommitSink sink_;
     std::uint64_t total_;
     std::uint64_t done_ = 0;
     dfi::StatSet stats_;
 
-    /** Next ordinal the sink has not seen yet (the commit frontier). */
-    std::uint64_t frontier_ = 0;
-    /** Finished tasks still ahead of the frontier, keyed by ordinal. */
-    std::map<std::uint64_t,
+    /** Next position the sink has not seen yet (the commit frontier). */
+    std::size_t frontier_ = 0;
+    /** Finished tasks still ahead of the frontier, keyed by position. */
+    std::map<std::size_t,
              std::pair<const RunTask *, const TaskResult *>>
         pending_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
 };
 
 } // namespace dfi::inject

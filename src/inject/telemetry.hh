@@ -209,7 +209,7 @@ class SummaryAccumulator
 
 /**
  * Builds both artifacts for one campaign.  commit() must be called
- * once per task in ascending-runId order — the executors'
+ * once per task in ascending-runId order — the reporter's
  * ordered-commit point (CampaignReporter::setCommitSink) guarantees
  * exactly that for any plan view and job count.
  *
@@ -251,7 +251,7 @@ class TelemetryWriter
 
     /**
      * Re-emit one already-completed record verbatim (resume).  Call
-     * before the executor runs, in ascending runId order; fatal() on
+     * before the tasks run, in ascending runId order; fatal() on
      * an unknown outcome class or disordered runId (a corrupt or
      * foreign resume stream).
      */

@@ -196,6 +196,83 @@ TEST(Campaign, CheckpointBudgetDropsToBaseSnapshot)
     EXPECT_EQ(a.counts, b.counts);
 }
 
+/**
+ * The restore points of the store runs restore from, pinned to what
+ * the adaptive capture (which took snapshots at 64-cycle spacing and
+ * thinned every other one whenever the cap overflowed) kept: {0, I,
+ * 2I, ...} below the golden length, I the smallest 64 x 2^k at which
+ * the live-snapshot cap covers the run.
+ */
+TEST(Campaign, RestoreScheduleIsPinned)
+{
+    struct Pinned
+    {
+        const char *core;
+        const char *benchmark;
+        std::uint32_t checkpoints;
+        std::uint64_t budgetMB;
+        std::uint64_t goldenCycles;
+        std::size_t cap;
+        std::uint64_t interval;
+        std::size_t kept; //!< snapshots besides the base
+    };
+    const std::vector<Pinned> pins = {
+        {"marss-x86", "sha", 64, 256, 98'512, 123, 1'024, 96},
+        {"gem5-arm", "sha", 64, 256, 35'999, 123, 512, 70},
+        {"marss-x86", "micro", 6, 256, 1'372, 12, 128, 10},
+        {"gem5-x86", "micro", 64, 8, 1'463, 3, 512, 2},
+        {"marss-x86", "sha", 6, 8, 98'512, 3, 65'536, 1},
+    };
+    for (const Pinned &pin : pins) {
+        CampaignConfig cfg = microConfig(pin.core, "l1d");
+        cfg.benchmark = pin.benchmark;
+        cfg.checkpointCount = pin.checkpoints;
+        cfg.checkpointMemBudgetMB = pin.budgetMB;
+        const std::string row = std::string(pin.core) + " " +
+                                pin.benchmark + " " +
+                                std::to_string(pin.checkpoints) + "/" +
+                                std::to_string(pin.budgetMB);
+        const std::shared_ptr<const PreparedCampaign> prep =
+            InjectionCampaign(cfg).prepared();
+        ASSERT_EQ(prep->golden.cycles, pin.goldenCycles) << row;
+        const std::shared_ptr<const CheckpointStore> store =
+            prep->refined();
+        EXPECT_EQ(store->maxLiveSnapshots(), pin.cap) << row;
+        std::vector<std::uint64_t> expected;
+        for (std::size_t i = 0; i <= pin.kept; ++i)
+            expected.push_back(i * pin.interval);
+        EXPECT_EQ(store->cycles(), expected) << row;
+    }
+}
+
+/**
+ * A store told the golden run's length never drops a snapshot: a
+ * golden pass captures exactly the snapshots it keeps, the ones the
+ * store runs restore from.
+ */
+TEST(Campaign, GoldenLengthStoreCapturesOnlyWhatItKeeps)
+{
+    CampaignConfig cfg = microConfig("marss-x86", "l1d");
+    cfg.benchmark = "sha";
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(cfg).prepared();
+    CheckpointStore store(prep->checkpoints.policy(),
+                          prep->golden.cycles);
+    uarch::OooCore core = prep->checkpoints.sourceFor(0);
+    store.captureBase(core);
+    std::size_t captures = 0;
+    while (core.tick()) {
+        const std::size_t count = store.count();
+        const std::uint64_t last = store.cycles().back();
+        store.observe(core);
+        if (store.count() != count || store.cycles().back() != last)
+            ++captures;
+    }
+    EXPECT_EQ(captures, 96u);
+    EXPECT_EQ(store.count(), captures + 1);
+    EXPECT_EQ(store.cycles(), prep->refined()->cycles());
+}
+
 TEST(Campaign, CycleZeroTransientStopsOnInvalidEntry)
 {
     // Regression: runTask() used to mark cycle-0 transients as
@@ -341,6 +418,41 @@ TEST(Campaign, TimeoutBoundsRunLength)
         result.golden.cycles * 3.0);
     for (const auto &record : result.records)
         EXPECT_LE(record.cycles, bound + 2);
+}
+
+/**
+ * A timeout factor whose limit overflows 64 bits is clamped to the
+ * absolute cycle cap like any other large factor: no run of this
+ * campaign reaches 3x the golden length, so every record matches the
+ * factor-3 campaign's.
+ */
+TEST(Campaign, HugeTimeoutFactorKeepsOutcomes)
+{
+    auto run_with = [](double factor) {
+        CampaignConfig cfg = microConfig("marss-x86", "int_regfile");
+        cfg.numInjections = 24;
+        cfg.seed = 7;
+        cfg.prune = false;
+        cfg.timeoutFactor = factor;
+        return InjectionCampaign(cfg).run();
+    };
+    const CampaignResult paper = run_with(3.0);
+    const CampaignResult huge = run_with(1e300);
+    ASSERT_EQ(paper.records.size(), 24u);
+    ASSERT_EQ(huge.records.size(), paper.records.size());
+    for (std::size_t i = 0; i < paper.records.size(); ++i) {
+        const syskit::RunRecord &a = paper.records[i];
+        const syskit::RunRecord &b = huge.records[i];
+        EXPECT_EQ(a.term, b.term) << "run " << i;
+        EXPECT_EQ(a.exitCode, b.exitCode) << "run " << i;
+        EXPECT_EQ(a.cycles, b.cycles) << "run " << i;
+        EXPECT_EQ(a.instructions, b.instructions) << "run " << i;
+        EXPECT_EQ(a.output, b.output) << "run " << i;
+        EXPECT_EQ(a.earlyStopReason, b.earlyStopReason) << "run " << i;
+        EXPECT_EQ(a.detail, b.detail) << "run " << i;
+    }
+    Parser parser;
+    EXPECT_EQ(huge.classify(parser).counts, paper.classify(parser).counts);
 }
 
 /** `v` without its volatile members (telemetry.hh), at any depth. */

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the layered campaign execution engine: the planning
- * layer's task grouping, the executors' runId-ordered result
+ * layer's task grouping, the task loop's runId-ordered result
  * commitment, and the end-to-end determinism contract — a campaign's
  * records, masks, counts, and aggregate statistics are byte-identical
- * for SerialExecutor and ThreadPoolExecutor on every simulator setup,
- * and reproducible across re-runs with the same seed.
+ * for one job and for four on every simulator setup, and reproducible
+ * across re-runs with the same seed.
  */
 
 #include <gtest/gtest.h>
@@ -105,31 +105,58 @@ TEST(Plan, GroupsMasksByRunId)
         EXPECT_EQ(plan.tasks()[run_id].runId, run_id);
 }
 
+/** A plan of `tasks` one-mask tasks with runIds 0..tasks-1. */
+CampaignPlan
+syntheticPlan(std::uint64_t tasks)
+{
+    std::vector<FaultMask> masks(tasks);
+    for (std::uint64_t i = 0; i < tasks; ++i)
+        masks[i].runId = i;
+    return CampaignPlan(CampaignConfig{}, syskit::RunRecord{}, masks,
+                        tasks);
+}
+
 TEST(Executor, ResolveJobs)
 {
     EXPECT_GE(resolveJobs(0), 1u);
     EXPECT_EQ(resolveJobs(1), 1u);
     EXPECT_EQ(resolveJobs(7), 7u);
-    EXPECT_EQ(makeExecutor({1})->jobs(), 1u);
-    EXPECT_STREQ(makeExecutor({1})->name(), "serial");
-    EXPECT_EQ(makeExecutor({4})->jobs(), 4u);
-    EXPECT_STREQ(makeExecutor({4})->name(), "thread-pool");
+}
+
+TEST(Executor, OneJobRunsOnTheCallingThread)
+{
+    // One job, and four jobs on a one-task plan: no worker thread.
+    for (const auto &[jobs, tasks] :
+         {std::pair<std::uint32_t, std::uint64_t>{1, 8}, {4, 1}}) {
+        const CampaignPlan plan = syntheticPlan(tasks);
+        const std::thread::id caller = std::this_thread::get_id();
+        std::vector<std::uint64_t> order;
+        const TaskRunner runner = [&](const RunTask &task) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            order.push_back(task.runId);
+            return TaskResult{};
+        };
+        CampaignReporter reporter({}, tasks);
+        EXPECT_EQ(runTasks(plan, jobs, runner, reporter).size(), tasks);
+        ASSERT_EQ(order.size(), tasks) << jobs << " jobs";
+        for (std::uint64_t i = 0; i < tasks; ++i)
+            EXPECT_EQ(order[i], i);
+    }
 }
 
 TEST(Executor, ThreadPoolCommitsResultsInRunIdOrder)
 {
-    // 24 synthetic tasks finishing in roughly reverse order: the
-    // result vector must still come back indexed by runId.
+    // 24 synthetic tasks of a shard view (odd runIds only) finishing
+    // in roughly reverse order: the results and the commit sink must
+    // still come in runId order.
     constexpr std::uint64_t kTasks = 24;
-    std::vector<FaultMask> masks(kTasks);
-    for (std::uint64_t i = 0; i < kTasks; ++i)
-        masks[i].runId = i;
-    const CampaignPlan plan(CampaignConfig{}, syskit::RunRecord{},
-                            masks, kTasks);
+    const CampaignPlan plan =
+        syntheticPlan(2 * kTasks).shardView(ShardSpec{1, 2});
+    ASSERT_EQ(plan.numRuns(), kTasks);
 
     const TaskRunner runner = [](const RunTask &task) {
         std::this_thread::sleep_for(std::chrono::microseconds(
-            200 * (kTasks - task.runId)));
+            100 * (2 * kTasks - task.runId)));
         TaskResult result;
         result.record.cycles = 1000 + task.runId;
         result.record.stats.inc("runs");
@@ -143,14 +170,21 @@ TEST(Executor, ThreadPoolCommitsResultsInRunIdOrder)
             progress.emplace_back(done, total);
         },
         kTasks);
+    std::vector<std::uint64_t> committed;
+    reporter.setCommitSink(
+        [&committed](const RunTask &task, const TaskResult &result) {
+            EXPECT_EQ(result.record.cycles, 1000 + task.runId);
+            committed.push_back(task.runId);
+        });
 
-    ThreadPoolExecutor executor(4);
-    const auto results = executor.run(plan, runner, reporter);
+    const auto results = runTasks(plan, 4, runner, reporter);
 
     ASSERT_EQ(results.size(), kTasks);
+    ASSERT_EQ(committed.size(), kTasks);
     for (std::uint64_t i = 0; i < kTasks; ++i) {
-        EXPECT_EQ(results[i].record.cycles, 1000 + i);
-        EXPECT_EQ(results[i].simulatedCycles, i);
+        EXPECT_EQ(results[i].record.cycles, 1000 + 2 * i + 1);
+        EXPECT_EQ(results[i].simulatedCycles, 2 * i + 1);
+        EXPECT_EQ(committed[i], 2 * i + 1);
     }
     // Progress callbacks are serialised and strictly increasing even
     // though completions raced.
@@ -164,26 +198,31 @@ TEST(Executor, ThreadPoolCommitsResultsInRunIdOrder)
 
 TEST(Executor, ThreadPoolPropagatesTaskErrors)
 {
-    std::vector<FaultMask> masks(8);
-    for (std::uint64_t i = 0; i < masks.size(); ++i)
-        masks[i].runId = i;
-    const CampaignPlan plan(CampaignConfig{}, syskit::RunRecord{},
-                            masks, masks.size());
+    // Two failing tasks: the lowest plan position's error wins.
+    const CampaignPlan plan = syntheticPlan(8);
     const TaskRunner runner = [](const RunTask &task) -> TaskResult {
-        if (task.runId == 3)
+        if (task.runId == 3 || task.runId == 5)
             fatal("task %s failed", task.runId);
         return {};
     };
-    CampaignReporter reporter({}, masks.size());
-    ThreadPoolExecutor executor(4);
-    EXPECT_THROW(executor.run(plan, runner, reporter), FatalError);
+    for (const std::uint32_t jobs : {1u, 4u}) {
+        CampaignReporter reporter({}, plan.numRuns());
+        try {
+            runTasks(plan, jobs, runner, reporter);
+            ADD_FAILURE() << "no error with " << jobs << " jobs";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find("task 3 failed"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 /**
  * The acceptance contract: on every simulator setup, a >=32-run
  * campaign yields byte-identical RunRecord sequences, masks, and
- * ClassCounts for SerialExecutor vs ThreadPoolExecutor{jobs=4}, and
- * re-running with the same seed reproduces both.
+ * ClassCounts for one job and for four, and re-running with the same
+ * seed reproduces both.
  */
 class ExecutorDeterminism
     : public ::testing::TestWithParam<const char *>

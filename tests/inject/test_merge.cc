@@ -106,11 +106,8 @@ TEST(PlanViews, ShardViewPartitionsRunIdsByModulus)
         EXPECT_EQ(shard.totalRuns(), 6u);
         EXPECT_EQ(shard.masks().size(), plan.masks().size());
         ASSERT_EQ(shard.numRuns(), 2u);
-        for (std::size_t i = 0; i < shard.tasks().size(); ++i) {
-            const RunTask &task = shard.tasks()[i];
+        for (const RunTask &task : shard.tasks()) {
             EXPECT_EQ(task.runId % 3, index);
-            // Ordinals renumber 0..n-1; runIds stay campaign-wide.
-            EXPECT_EQ(task.ordinal, i);
             EXPECT_TRUE(seen.insert(task.runId).second)
                 << "runId " << task.runId << " in two shards";
         }
@@ -124,10 +121,8 @@ TEST(PlanViews, WithoutRunsSkipsCompletedAndRejectsForeignRunIds)
     const CampaignPlan rest = plan.withoutRuns({0, 1, 2});
     EXPECT_EQ(rest.totalRuns(), 6u);
     ASSERT_EQ(rest.numRuns(), 3u);
-    for (std::size_t i = 0; i < rest.tasks().size(); ++i) {
+    for (std::size_t i = 0; i < rest.tasks().size(); ++i)
         EXPECT_EQ(rest.tasks()[i].runId, i + 3);
-        EXPECT_EQ(rest.tasks()[i].ordinal, i);
-    }
 
     // A completed runId outside the plan is a config/shard mismatch.
     EXPECT_THROW(plan.withoutRuns({99}), dfi::FatalError);

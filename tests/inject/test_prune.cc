@@ -168,9 +168,6 @@ TEST(PrunePlan, ApplyPruningSplitsTasksAndKeepsStats)
     EXPECT_EQ(plan.pruneStats().prunedStatic, 3u);
     EXPECT_EQ(plan.pruneStats().prunedEquiv, 4u);
     EXPECT_EQ(plan.totalRuns(), 10u);
-    // Ordinals renumber 0..n-1; runIds keep campaign identity.
-    for (std::size_t i = 0; i < plan.tasks().size(); ++i)
-        EXPECT_EQ(plan.tasks()[i].ordinal, i);
     EXPECT_EQ(plan.tasks()[0].pruneClass, 1u);
     EXPECT_EQ(plan.tasks()[1].pruneClass, 2u);
     EXPECT_EQ(plan.tasks()[2].pruneClass, 3u);
@@ -187,8 +184,6 @@ TEST(PrunePlan, ShardViewPromotesStrandedEquivMembers)
               (std::vector<std::uint64_t>{0, 4, 8}));
     EXPECT_EQ(prunedRunIds(even),
               (std::vector<std::uint64_t>{2, 6}));
-    for (std::size_t i = 0; i < even.tasks().size(); ++i)
-        EXPECT_EQ(even.tasks()[i].ordinal, i);
     // The promoted task carries the member's mask and class id.
     EXPECT_EQ(even.tasks()[1].runId, 4u);
     ASSERT_EQ(even.tasks()[1].masks.size(), 1u);

@@ -518,8 +518,8 @@ coreBytes(const uarch::OooCore &core)
 /**
  * The store runs restore from is the golden run replayed: it holds
  * exactly the snapshots a golden pass the test observes itself under
- * the same policy captures, byte for byte, while the prepared state
- * keeps only the base one.
+ * the same policy and run length captures, byte for byte, while the
+ * prepared state keeps only the base one.
  */
 TEST(PreparedCampaign, RefinedSnapshotsEqualAnObservedGoldenPass)
 {
@@ -535,7 +535,8 @@ TEST(PreparedCampaign, RefinedSnapshotsEqualAnObservedGoldenPass)
     uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg.coreName);
     uarch::scaleCaches(core_cfg, cfg.cacheScale);
     uarch::OooCore core(core_cfg, prep->image);
-    CheckpointStore observed(prep->checkpoints.policy());
+    CheckpointStore observed(prep->checkpoints.policy(),
+                             prep->golden.cycles);
     observed.captureBase(core);
     while (core.tick())
         observed.observe(core);
