@@ -22,8 +22,9 @@
 #           `--no-prune` for a leg proving equivalence pruning never
 #           changes the classification output (exact-diff equal; the
 #           volatile prune bookkeeping fields are skipped),
-#           `--checkpoints 6 --no-prune` for a leg whose every run
-#           restores from a store other than the default one, and
+#           `--checkpoints 6 --no-prune` and `--checkpoints 1
+#           --no-prune` for legs whose every run restores from a store
+#           other than the default one, and
 #           `--shard I/N` for the shard-merge leg.
 #
 # Environment:

@@ -7,92 +7,6 @@
 namespace dfi
 {
 
-void
-Config::set(const std::string &key, const std::string &value)
-{
-    values_[key] = value;
-}
-
-void
-Config::set(const std::string &key, std::int64_t value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, bool value)
-{
-    values_[key] = value ? "true" : "false";
-}
-
-bool
-Config::has(const std::string &key) const
-{
-    return values_.count(key) != 0;
-}
-
-std::string
-Config::getString(const std::string &key, const std::string &def) const
-{
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-}
-
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    try {
-        return std::stoll(it->second);
-    } catch (const std::exception &) {
-        fatal("config key '%s' has non-integer value '%s'", key,
-              it->second);
-    }
-}
-
-std::uint64_t
-Config::getUint(const std::string &key, std::uint64_t def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    try {
-        return std::stoull(it->second);
-    } catch (const std::exception &) {
-        fatal("config key '%s' has non-integer value '%s'", key,
-              it->second);
-    }
-}
-
-bool
-Config::getBool(const std::string &key, bool def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    if (it->second == "true" || it->second == "1")
-        return true;
-    if (it->second == "false" || it->second == "0")
-        return false;
-    fatal("config key '%s' has non-boolean value '%s'", key, it->second);
-}
-
-double
-Config::getDouble(const std::string &key, double def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    try {
-        return std::stod(it->second);
-    } catch (const std::exception &) {
-        fatal("config key '%s' has non-numeric value '%s'", key,
-              it->second);
-    }
-}
-
 std::uint64_t
 envUint(const char *name, std::uint64_t def)
 {

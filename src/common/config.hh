@@ -1,55 +1,16 @@
 /**
  * @file
- * Simple typed key/value configuration store.
- *
- * Used for the simulator configurations of Table II and for campaign
- * parameters.  Values are stored as strings and converted on access;
- * unknown keys fall back to a supplied default, and fatal() is raised
- * on malformed values (user error).
+ * Environment-variable overrides for the bench harnesses and
+ * examples (e.g. DFI_INJECTIONS).
  */
 
 #ifndef DFI_COMMON_CONFIG_HH
 #define DFI_COMMON_CONFIG_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace dfi
 {
-
-/** String-backed configuration dictionary with typed accessors. */
-class Config
-{
-  public:
-    Config() = default;
-
-    /** Set (or overwrite) a key. */
-    void set(const std::string &key, const std::string &value);
-    void set(const std::string &key, std::int64_t value);
-    void set(const std::string &key, bool value);
-
-    /** True if the key is present. */
-    bool has(const std::string &key) const;
-
-    /** Typed getters with defaults. */
-    std::string getString(const std::string &key,
-                          const std::string &def = "") const;
-    std::int64_t getInt(const std::string &key, std::int64_t def = 0) const;
-    std::uint64_t getUint(const std::string &key,
-                          std::uint64_t def = 0) const;
-    bool getBool(const std::string &key, bool def = false) const;
-    double getDouble(const std::string &key, double def = 0.0) const;
-
-    /** All entries (sorted), for config dumps. */
-    const std::map<std::string, std::string> &all() const
-    {
-        return values_;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-};
 
 /**
  * Read an environment-variable override used by the bench harnesses

@@ -1,22 +1,19 @@
 /**
  * @file
- * Compact binary archives for the prepared-state spill and snapshot
- * accounting.
+ * Compact binary archives for the prepared-state spill.
  *
- * The Writer has two jobs: it writes the campaign service's spill of
- * a PreparedCampaign (the golden run record, and the image bytes the
- * spill's image digest is taken over), and, counting only, it
- * measures the bytes a checkpoint store's snapshot stack keeps alive
- * (CheckpointStore::heldBytes).  The Reader reads back only the
- * golden record: no core state is ever read from bytes, because a
- * loaded prepared state rebuilds its program and reset core from the
- * config.  Design points:
+ * The Writer writes the campaign service's spill of a
+ * PreparedCampaign: the golden run record, and the image bytes the
+ * spill's image digest is taken over.  The Reader reads back only the
+ * golden record: no simulator state is ever written to or read from
+ * bytes, because a loaded prepared state rebuilds its program and
+ * reset core from the config.  Design points:
  *
  *  - One serialization function per type: classes expose
  *    `template <class Ar> void serializeState(Ar &)`.  The record
  *    types a spill holds (RunRecord, DueEvent, StatSet) instantiate
  *    it for both archives, so their field list cannot drift between
- *    the two directions; every other type only for the Writer.
+ *    the two directions; isa::Image only for the Writer.
  *  - Host-local format: scalars are memcpy'd in host representation.
  *    The files are a cache, not an interchange format — a reader on a
  *    different host simply misses and re-prepares.
@@ -24,23 +21,17 @@
  *    reason; subsequent reads return zeros and the caller discards
  *    the result.  Whole-file integrity is the caller's job (the
  *    service frames files with an FNV-1a digest).
- *  - Page interning: a copy-on-write page is written once however
- *    many buffers and snapshots share it, so a counting writer's size
- *    is the memory a snapshot stack keeps alive, not
- *    `snapshots * state size`.
  */
 
 #ifndef DFI_COMMON_SERIAL_HH
 #define DFI_COMMON_SERIAL_HH
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/failpoint.hh"
@@ -57,24 +48,11 @@ namespace dfi::serial
  * or backing store giving out mid-save): the first failure latches
  * ok() == false, later appends are dropped, and the caller must
  * discard the buffer instead of persisting a truncated archive.
- *
- * A counting writer (Writer(kCountOnly)) keeps no bytes and never
- * fails: size() is what the archive would hold, interned pages once,
- * which makes it a measure of the memory a snapshot stack keeps
- * alive.
  */
 class Writer
 {
   public:
     static constexpr bool kSaving = true;
-
-    struct CountOnly
-    {
-    };
-    static constexpr CountOnly kCountOnly{};
-
-    Writer() = default;
-    explicit Writer(CountOnly) : countOnly_(true) {}
 
     bool ok() const { return ok_; }
 
@@ -84,10 +62,6 @@ class Writer
     void
     bytes(const void *data, std::size_t n)
     {
-        if (countOnly_) {
-            counted_ += n;
-            return;
-        }
         if (!ok_)
             return;
         if (failpoint::check("serial.write").kind ==
@@ -111,36 +85,11 @@ class Writer
         }
     }
 
-    /**
-     * Intern a page by identity.  Returns true (and the previously
-     * assigned ordinal) when the page was already written; otherwise
-     * assigns the next ordinal and returns false so the caller writes
-     * the payload exactly once.
-     */
-    bool
-    internPage(const void *page, std::uint64_t &id)
-    {
-        const auto it = interned_.find(page);
-        if (it != interned_.end()) {
-            id = it->second;
-            return true;
-        }
-        id = interned_.size();
-        interned_.emplace(page, id);
-        return false;
-    }
-
     const std::string &buffer() const { return buf_; }
-
-    /** Bytes written (or, counting, that would have been). */
-    std::uint64_t size() const { return countOnly_ ? counted_ : buf_.size(); }
 
   private:
     std::string buf_;
     bool ok_ = true;
-    bool countOnly_ = false;
-    std::uint64_t counted_ = 0;
-    std::unordered_map<const void *, std::uint64_t> interned_;
 };
 
 /** Bounds-checked reader over a byte buffer with a sticky failure flag. */
@@ -267,30 +216,6 @@ value(Ar &ar, std::vector<T> &v)
             }
             value(ar, elem);
         }
-    }
-}
-
-/** Fixed-size arithmetic array (core state: written, never read). */
-template <class T, std::size_t N>
-void
-value(Writer &ar, std::array<T, N> &a)
-{
-    static_assert(std::is_arithmetic_v<T>);
-    ar.bytes(a.data(), N * sizeof(T));
-}
-
-/**
- * std::vector<bool> (core state: written, never read) has no
- * contiguous storage; one byte per element.
- */
-inline void
-value(Writer &ar, std::vector<bool> &v)
-{
-    std::uint64_t n = v.size();
-    ar.scalar(n);
-    for (const bool bit : v) {
-        const std::uint8_t byte = bit ? 1 : 0;
-        ar.scalar(byte);
     }
 }
 

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/serial.hh"
 
 namespace dfi
 {
@@ -121,14 +120,6 @@ class Counters
                 out.set(prefix + names[i], values_[i]);
         }
         return out;
-    }
-
-    /** Serialize the counter values (cache spill). */
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        serial::value(ar, values_);
     }
 
   private:

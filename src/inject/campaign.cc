@@ -734,14 +734,12 @@ InjectionCampaign::runTask(const RunTask &task) const
 CampaignPlan
 InjectionCampaign::makePlan() const
 {
-    // The probe core supplies the structure geometries; classification
-    // reads the component's golden trace, which the prepared state
-    // builds once and every later campaign on it reuses.
-    uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg_.coreName);
-    uarch::scaleCaches(core_cfg, cfg_.cacheScale);
-    if (cfg_.configTweak)
-        cfg_.configTweak(core_cfg);
-    uarch::OooCore probe(core_cfg, prep_->image);
+    // The probe core supplies the structure geometries: a copy of the
+    // base (cycle-0) snapshot is a reset core with the golden pass's
+    // exact configuration.  Classification reads the component's
+    // golden trace, which the prepared state builds once and every
+    // later campaign on it reuses.
+    uarch::OooCore probe = prep_->checkpoints.sourceFor(0);
     const std::shared_ptr<const GoldenTrace> trace =
         planPrunes(cfg_) ? prep_->trace(cfg_.component) : nullptr;
     return planCampaign(cfg_, prep_->golden, probe, trace.get());
@@ -930,18 +928,8 @@ InjectionCampaign::run(const Progress &progress)
         switch (pruned.verdict) {
           case SiteVerdict::InvalidEntry:
           case SiteVerdict::DeadOverwrite:
-            outcome.record.earlyStopMasked = true;
-            outcome.record.earlyStopReason =
-                pruned.verdict == SiteVerdict::InvalidEntry
-                    ? "invalid-entry"
-                    : "overwritten-before-read";
-            outcome.record.cycles = pruned.cycles;
-            outcome.record.instructions = pruned.instructions;
-            outcome.haveRecord = true;
-            result.fullRunEquivalentCycles += prep_->golden.cycles;
-            break;
           case SiteVerdict::GoldenRun:
-            outcome.record = prep_->golden;
+            outcome.record = staticRecord(pruned, prep_->golden);
             outcome.haveRecord = true;
             result.fullRunEquivalentCycles += prep_->golden.cycles;
             break;

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/serial.hh"
 #include "common/stats.hh"
 #include "inject/checkpoint.hh"
 #include "inject/mask_gen.hh"
@@ -456,7 +457,7 @@ struct CampaignResult
     /**
      * The telemetry artifacts, captured in memory.  Non-empty when
      * telemetryOut or telemetryCapture requested telemetry; the
-     * bytes equal what writeFiles() wrote (or would have written).
+     * bytes equal the files a telemetryOut path receives.
      */
     std::string telemetryRuns;
     std::string telemetrySummary;

@@ -1,9 +1,9 @@
 #include "inject/checkpoint.hh"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/logging.hh"
-#include "common/serial.hh"
 #include "uarch/ooo_core.hh"
 
 namespace dfi::inject
@@ -27,7 +27,7 @@ CheckpointStore::captureBase(const uarch::OooCore &core)
     snapshotBytes_ = core.approxStateBytes();
     maxLive_ = 1;
     budgetLimited_ = false;
-    if (policy_.enabled && policy_.targetCount > 1) {
+    if (policy_.enabled && policy_.targetCount > 0) {
         maxLive_ = static_cast<std::size_t>(policy_.targetCount) * 2;
         if (policy_.budgetBytes > 0 && snapshotBytes_ > 0) {
             const std::uint64_t affordable =
@@ -86,12 +86,11 @@ CheckpointStore::sourceFor(std::uint64_t cycle) const
 std::uint64_t
 CheckpointStore::heldBytes() const
 {
-    // A counting writer never mutates what it serializes; the
-    // const_cast only satisfies the shared save/load signature.
-    serial::Writer counter(serial::Writer::kCountOnly);
+    std::unordered_set<const void *> pages;
+    std::uint64_t held = 0;
     for (const auto &snapshot : snapshots_)
-        const_cast<uarch::OooCore &>(*snapshot).serializeState(counter);
-    return counter.size();
+        held += snapshot->heldBytes(pages);
+    return held;
 }
 
 } // namespace dfi::inject

@@ -25,7 +25,10 @@
  * Snapshots are COW-backed OooCore copies (storage/cow_buffer.hh):
  * capturing one copies page tables, not pages, and the store holds
  * them as shared const state that any number of workers may
- * copy-construct private cores from concurrently.
+ * copy-construct private cores from concurrently.  What they keep
+ * alive is counted by walking them (heldBytes()): each snapshot's
+ * private state, and each page once however many snapshots share it.
+ * No snapshot is ever written to or read from bytes.
  *
  * The capture schedule is a pure function of the policy and the
  * golden run — never of wall-clock or thread timing — so campaign
@@ -131,9 +134,9 @@ class CheckpointStore
     bool budgetLimited() const { return budgetLimited_; }
 
     /**
-     * Bytes the snapshots keep alive: the size of their archive
-     * (OooCore::serializeState into one counting writer), each COW
-     * page counted once however many snapshots share it.
+     * Bytes the snapshots keep alive: what each owns outright plus
+     * every COW page they hold, counted once however many snapshots
+     * share it (OooCore::heldBytes over one page set).
      */
     std::uint64_t heldBytes() const;
 

@@ -244,6 +244,32 @@ CampaignPlan::withoutRuns(
     });
 }
 
+syskit::RunRecord
+staticRecord(const PrunedRun &pruned, const syskit::RunRecord &golden)
+{
+    switch (pruned.verdict) {
+      case SiteVerdict::InvalidEntry:
+      case SiteVerdict::DeadOverwrite: {
+        syskit::RunRecord stop;
+        stop.earlyStopMasked = true;
+        stop.earlyStopReason =
+            pruned.verdict == SiteVerdict::InvalidEntry
+                ? "invalid-entry"
+                : "overwritten-before-read";
+        stop.cycles = pruned.cycles;
+        stop.instructions = pruned.instructions;
+        return stop;
+      }
+      case SiteVerdict::GoldenRun:
+        // The fault is never observed: the run completes as the
+        // golden record.
+        return golden;
+      default:
+        panic("staticRecord: run %s is not statically classified",
+              pruned.runId);
+    }
+}
+
 bool
 planPrunes(const CampaignConfig &config)
 {

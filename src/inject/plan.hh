@@ -89,6 +89,15 @@ struct PrunedRun
     std::uint64_t pruneClass = 0;
 };
 
+/**
+ * The record a statically classified run stands for: the early-stop
+ * record the dispatcher would have produced (InvalidEntry,
+ * DeadOverwrite), or the golden record (GoldenRun).  panic() for the
+ * verdicts that have none.
+ */
+syskit::RunRecord staticRecord(const PrunedRun &pruned,
+                               const syskit::RunRecord &golden);
+
 /** What executing one RunTask produces. */
 struct TaskResult
 {

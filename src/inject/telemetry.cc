@@ -513,32 +513,17 @@ TelemetryWriter::emitPruned(const PrunedRun &pruned)
 
     switch (pruned.verdict) {
       case SiteVerdict::InvalidEntry:
-      case SiteVerdict::DeadOverwrite: {
-        // Exactly the early-stop record the dispatcher would have
-        // produced, classified by the same parser.
-        syskit::RunRecord stop;
-        stop.earlyStopMasked = true;
-        stop.earlyStopReason =
-            pruned.verdict == SiteVerdict::InvalidEntry
-                ? "invalid-entry"
-                : "overwritten-before-read";
-        stop.cycles = pruned.cycles;
-        stop.instructions = pruned.instructions;
-        const Classification cls = parser_.classify(golden_, stop);
-        record.outcome = outcomeClassName(cls.cls);
-        record.subclass = cls.subclass;
-        record.instructions = stop.instructions;
-        record.cycles = stop.cycles;
-        break;
-      }
+      case SiteVerdict::DeadOverwrite:
       case SiteVerdict::GoldenRun: {
-        // The fault is never observed: the run completes as the
-        // golden record.
-        const Classification cls = parser_.classify(golden_, golden_);
+        // Exactly the record the dispatcher would have produced,
+        // classified by the same parser.
+        const syskit::RunRecord stands_for =
+            staticRecord(pruned, golden_);
+        const Classification cls = parser_.classify(golden_, stands_for);
         record.outcome = outcomeClassName(cls.cls);
         record.subclass = cls.subclass;
-        record.instructions = golden_.instructions;
-        record.cycles = golden_.cycles;
+        record.instructions = stands_for.instructions;
+        record.cycles = stands_for.cycles;
         break;
       }
       case SiteVerdict::EquivMember: {
@@ -700,19 +685,11 @@ TelemetryWriter::writeFiles(const std::string &base)
     flushAllPruned();
 
     const std::string runs_path = base + ".jsonl";
+    if (!stream_.is_open() || runs_path != streamPath_)
+        panic("telemetry: writeFiles('%s') without streaming there",
+              runs_path);
+    stream_.close();
     const std::string summary_path = base + ".summary.json";
-    if (stream_.is_open()) {
-        if (runs_path != streamPath_)
-            panic("telemetry: writeFiles('%s') while streaming to "
-                  "'%s'",
-                  runs_path, streamPath_);
-        stream_.close();
-    } else {
-        std::ofstream runs(runs_path, std::ios::binary);
-        runs << lines_;
-        if (!runs)
-            fatal("telemetry: cannot write '%s'", runs_path);
-    }
     std::ofstream summary(summary_path, std::ios::binary);
     if (failpoint::check("telemetry.flush").kind ==
         failpoint::Action::Kind::Error)

@@ -277,8 +277,10 @@ class TelemetryWriter
     std::string summaryJson() const;
 
     /**
-     * Finalize: write `<base>.summary.json`, and `<base>.jsonl` too
-     * unless it was already streamed there.  fatal() on I/O failure.
+     * Finalize the files of streamTo(base): flush the queued pruned
+     * records into `<base>.jsonl`, close it and write
+     * `<base>.summary.json`.  panic() unless streaming to
+     * `<base>.jsonl`; fatal() on I/O failure.
      */
     void writeFiles(const std::string &base);
 

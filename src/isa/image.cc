@@ -1,6 +1,7 @@
 #include "isa/image.hh"
 
 #include "common/logging.hh"
+#include "common/serial.hh"
 
 namespace dfi::isa
 {

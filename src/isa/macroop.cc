@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/serial.hh"
 
 namespace dfi::isa
 {
@@ -178,22 +177,5 @@ MacroOp::toString() const
     }
     return os.str();
 }
-
-template <class Ar>
-void
-MacroOp::serializeState(Ar &ar)
-{
-    serial::value(ar, kind);
-    serial::value(ar, func);
-    serial::value(ar, cond);
-    serial::value(ar, width);
-    serial::value(ar, rd);
-    serial::value(ar, rn);
-    serial::value(ar, rm);
-    serial::value(ar, imm);
-    serial::value(ar, length);
-}
-
-template void MacroOp::serializeState(serial::Writer &);
 
 } // namespace dfi::isa

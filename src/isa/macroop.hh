@@ -88,9 +88,6 @@ struct MacroOp
 
     /** Disassemble for logs and tests. */
     std::string toString() const;
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 } // namespace dfi::isa

@@ -11,6 +11,11 @@
  * shared.  Restoring a run from a checkpoint therefore costs
  * O(pages the run actually writes), not O(core size).
  *
+ * A page's payload address is its identity: forEachPage() reports it
+ * for every page-table slot, so a walk over many buffers (a stack of
+ * checkpoint snapshots) that counts each address once measures the
+ * page memory they keep alive (CheckpointStore::heldBytes).
+ *
  * Thread-safety: the campaign executor copies worker cores from
  * *const* checkpoints.  shared_ptr's reference count is atomic, so
  * concurrent copies from (and reads of) a shared page are safe; and a
@@ -28,8 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "common/serial.hh"
 
 namespace dfi
 {
@@ -97,27 +100,17 @@ class CowBuffer
     }
 
     /**
-     * Write logical size and page table.  Page payloads are interned
-     * by identity, so buffers (and snapshot stacks) that share pages
-     * in memory are counted once.
+     * Call visit(page, bytes) for every page-table slot, in order:
+     * `page` is the page's payload, one address for every slot,
+     * buffer and copy that shares the page, and `bytes` its size.
      */
-    template <class Ar>
+    template <class Visit>
     void
-    serializeState(Ar &ar)
+    forEachPage(Visit &&visit) const
     {
-        std::uint64_t size = size_;
-        serial::value(ar, size);
-        std::uint64_t page_count = pages_.size();
-        serial::value(ar, page_count);
-        for (const auto &page : pages_) {
-            std::uint64_t id = 0;
-            std::uint8_t interned = ar.internPage(page.get(), id) ? 1 : 0;
-            serial::value(ar, interned);
-            if (interned != 0)
-                serial::value(ar, id);
-            else
-                ar.bytes(page->elems.data(), pageBytes());
-        }
+        for (const auto &page : pages_)
+            visit(static_cast<const void *>(page->elems.data()),
+                  pageBytes());
     }
 
   private:

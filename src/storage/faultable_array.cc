@@ -126,18 +126,4 @@ FaultableArray::clearWatch()
     watchState_ = WatchState::Idle;
 }
 
-template <class Ar>
-void
-FaultableArray::serializeState(Ar &ar)
-{
-    serial::value(ar, words_);
-    std::uint64_t watch_entry = watchEntry_;
-    std::uint64_t watch_bit = watchBit_;
-    serial::value(ar, watch_entry);
-    serial::value(ar, watch_bit);
-    serial::value(ar, watchState_);
-}
-
-template void FaultableArray::serializeState(serial::Writer &);
-
 } // namespace dfi

@@ -216,11 +216,13 @@ class FaultableArray
      */
     void setObserver(AccessObserver *observer) { observer_ = observer; }
 
-    /**
-     * Write dynamic state (backing words + watch automaton) into a
-     * Writer; geometry is construction-time data and is not written.
-     */
-    template <class Ar> void serializeState(Ar &ar);
+    /** Visit the backing pages (CowBuffer::forEachPage). */
+    template <class Visit>
+    void
+    forEachPage(Visit &&visit) const
+    {
+        words_.forEachPage(visit);
+    }
 
     /** Backing pages (checkpoint memory-budget accounting). */
     std::size_t backingPages() const { return words_.pageCount(); }

@@ -104,14 +104,4 @@ GuestMemory::peekBytes(std::uint32_t addr, std::uint32_t len,
         out[i] = bytes_.get(addr + i);
 }
 
-template <class Ar>
-void
-GuestMemory::serializeState(Ar &ar)
-{
-    serial::value(ar, bytes_);
-    serial::value(ar, codeLimit_);
-}
-
-template void GuestMemory::serializeState(serial::Writer &);
-
 } // namespace dfi::syskit

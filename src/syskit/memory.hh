@@ -84,8 +84,13 @@ class GuestMemory
     void peekBytes(std::uint32_t addr, std::uint32_t len,
                    std::uint8_t *out) const;
 
-    /** Serialize the byte store and segment limit (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
+    /** Visit the pages of the byte store (CowBuffer::forEachPage). */
+    template <class Visit>
+    void
+    forEachPage(Visit &&visit) const
+    {
+        bytes_.forEachPage(visit);
+    }
 
     /** Backing pages (checkpoint memory-budget accounting). */
     std::size_t backingPages() const { return bytes_.pageCount(); }

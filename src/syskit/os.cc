@@ -69,15 +69,4 @@ MiniOs::finishInto(RunRecord &record)
     dueEvents_.clear();
 }
 
-template <class Ar>
-void
-MiniOs::serializeState(Ar &ar)
-{
-    serial::value(ar, output_);
-    serial::value(ar, dueEvents_);
-    serial::value(ar, brkTop_);
-}
-
-template void MiniOs::serializeState(serial::Writer &);
-
 } // namespace dfi::syskit

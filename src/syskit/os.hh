@@ -85,9 +85,6 @@ class MiniOs
     /** Move the accumulated state into a RunRecord. */
     void finishInto(RunRecord &record);
 
-    /** Serialize accumulated run state (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
-
     /**
      * Bound on output growth: a corrupted length argument must not let
      * a faulty run allocate unbounded host memory.  Writes beyond the

@@ -204,40 +204,4 @@ Ras::pop()
     return static_cast<std::uint32_t>(array_.readBits(top_, 0, 32));
 }
 
-template <class Ar>
-void
-TournamentPredictor::serializeState(Ar &ar)
-{
-    serial::value(ar, localPht_);
-    serial::value(ar, localHist_);
-    serial::value(ar, globalPht_);
-    serial::value(ar, chooser_);
-    serial::value(ar, ghr_);
-}
-
-template void TournamentPredictor::serializeState(serial::Writer &);
-
-template <class Ar>
-void
-Btb::serializeState(Ar &ar)
-{
-    serial::value(ar, array_);
-    serial::value(ar, lru_);
-    serial::value(ar, stamp_);
-    serial::value(ar, counters_);
-}
-
-template void Btb::serializeState(serial::Writer &);
-
-template <class Ar>
-void
-Ras::serializeState(Ar &ar)
-{
-    serial::value(ar, top_);
-    serial::value(ar, depth_);
-    serial::value(ar, array_);
-}
-
-template void Ras::serializeState(serial::Writer &);
-
 } // namespace dfi::uarch

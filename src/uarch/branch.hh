@@ -50,9 +50,15 @@ class TournamentPredictor
     /** Train with the actual outcome and update histories. */
     void update(std::uint32_t pc, bool taken);
 
-    /** Serialize predictor tables and history (cache spill); a load
-     *  refuses tables of another size. */
-    template <class Ar> void serializeState(Ar &ar);
+    /** Heap bytes a copy owns outright: the counter and history
+     *  tables. */
+    std::uint64_t
+    heapBytes() const
+    {
+        return localPht_.capacity() +
+               localHist_.capacity() * sizeof(std::uint16_t) +
+               globalPht_.capacity() + chooser_.capacity();
+    }
 
   private:
     std::uint32_t localIndex(std::uint32_t pc) const;
@@ -100,15 +106,19 @@ class Btb
     void update(std::uint32_t pc, std::uint32_t target);
 
     dfi::FaultableArray &array() { return array_; }
+    const dfi::FaultableArray &array() const { return array_; }
     bool entryLive(std::size_t index) const;
+
+    /** Heap bytes a copy owns outright: the LRU book. */
+    std::uint64_t
+    heapBytes() const
+    {
+        return lru_.capacity() * sizeof(std::uint64_t);
+    }
 
     const dfi::Counters<BtbStat> &counters() const { return counters_; }
     /** The nonzero counters, named `<btb>.<event>`. */
     dfi::StatSet stats() const;
-
-    /** Serialize entry array, LRU books and counters (cache spill);
-     *  a load refuses LRU books that do not cover the entries. */
-    template <class Ar> void serializeState(Ar &ar);
 
   private:
     std::uint32_t setOf(std::uint32_t pc) const;
@@ -134,12 +144,9 @@ class Ras
     std::uint32_t pop();
 
     dfi::FaultableArray &array() { return array_; }
+    const dfi::FaultableArray &array() const { return array_; }
     std::uint32_t depth() const { return depth_; }
     std::uint32_t capacity() const { return entries_; }
-
-    /** Serialize stack state (cache spill); a load refuses a top or
-     *  depth outside the entries. */
-    template <class Ar> void serializeState(Ar &ar);
 
   private:
     std::uint32_t entries_ = 16;

@@ -207,19 +207,4 @@ Cache::stats() const
     return counters_.named(cfg_.name + ".", kCacheStatNames);
 }
 
-template <class Ar>
-void
-Cache::serializeState(Ar &ar)
-{
-    serial::value(ar, tags_);
-    serial::value(ar, data_);
-    serial::value(ar, valid_);
-    serial::value(ar, dirty_);
-    serial::value(ar, lruStamp_);
-    serial::value(ar, stamp_);
-    serial::value(ar, counters_);
-}
-
-template void Cache::serializeState(serial::Writer &);
-
 } // namespace dfi::uarch

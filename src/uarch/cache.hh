@@ -136,9 +136,23 @@ class Cache
     dfi::FaultableArray &dataArray() { return data_; }
     dfi::FaultableArray &validArray() { return valid_; }
 
-    /** Serialize dynamic state (arrays, dirty/LRU books, counters); a
-     *  load refuses books that do not cover the lines. */
-    template <class Ar> void serializeState(Ar &ar);
+    /** Visit the pages of the tag, data and valid arrays. */
+    template <class Visit>
+    void
+    forEachPage(Visit &&visit) const
+    {
+        tags_.forEachPage(visit);
+        data_.forEachPage(visit);
+        valid_.forEachPage(visit);
+    }
+
+    /** Heap bytes a copy owns outright: the dirty and LRU books. */
+    std::uint64_t
+    heapBytes() const
+    {
+        return dirty_.capacity() +
+               lruStamp_.capacity() * sizeof(std::uint64_t);
+    }
 
     /** Upper bound on checkpointable state (budget accounting). */
     std::uint64_t

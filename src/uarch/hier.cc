@@ -312,18 +312,4 @@ MemHierarchy::kernelTouchInstr(std::uint32_t pa)
                      false, true);
 }
 
-template <class Ar>
-void
-MemHierarchy::serializeState(Ar &ar)
-{
-    serial::value(ar, memory_);
-    serial::value(ar, l1i_);
-    serial::value(ar, l1d_);
-    serial::value(ar, l2_);
-    serial::value(ar, pfD_);
-    serial::value(ar, pfI_);
-}
-
-template void MemHierarchy::serializeState(serial::Writer &);
-
 } // namespace dfi::uarch

@@ -127,6 +127,26 @@ class MemHierarchy
     /** The nonzero counters of all three caches. */
     dfi::StatSet stats() const;
 
+    /** Visit the pages of guest memory and of every cache and
+     *  prefetcher array. */
+    template <class Visit>
+    void
+    forEachPage(Visit &&visit) const
+    {
+        memory_.forEachPage(visit);
+        for (const Cache *cache : {&l1i_, &l1d_, &l2_})
+            cache->forEachPage(visit);
+        pfD_.array().forEachPage(visit);
+        pfI_.array().forEachPage(visit);
+    }
+
+    /** Heap bytes a copy owns outright (Cache::heapBytes). */
+    std::uint64_t
+    heapBytes() const
+    {
+        return l1i_.heapBytes() + l1d_.heapBytes() + l2_.heapBytes();
+    }
+
     /** Upper bound on checkpointable state (budget accounting). */
     std::uint64_t
     approxStateBytes() const
@@ -134,9 +154,6 @@ class MemHierarchy
         return memory_.size() + l1i_.approxStateBytes() +
                l1d_.approxStateBytes() + l2_.approxStateBytes();
     }
-
-    /** Serialize dynamic state of memory and all levels (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 
   private:
     /** Access one-line-contained span through a given L1. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <string>
 
 #include "common/logging.hh"
@@ -1540,108 +1541,43 @@ OooCore::approxStateBytes() const
     return bytes;
 }
 
-template <class Ar>
 void
-Uop::serializeState(Ar &ar)
+OooCore::forEachPage(const PageVisitor &visit) const
 {
-    serial::value(ar, valid);
-    serial::value(ar, op);
-    serial::value(ar, pc);
-    serial::value(ar, npc);
-    serial::value(ar, seq);
-    serial::value(ar, stage);
-    serial::value(ar, readyCycle);
-    serial::value(ar, archDst);
-    serial::value(ar, archDst2);
-    serial::value(ar, physDst);
-    serial::value(ar, physDst2);
-    serial::value(ar, oldPhys);
-    serial::value(ar, oldPhys2);
-    serial::value(ar, physSrc1);
-    serial::value(ar, physSrc2);
-    serial::value(ar, srcVal1);
-    serial::value(ar, srcVal2);
-    serial::value(ar, issuedPhysDst);
-    serial::value(ar, result);
-    serial::value(ar, result2);
-    serial::value(ar, isLoad);
-    serial::value(ar, isStore);
-    serial::value(ar, addrResolved);
-    serial::value(ar, loadDone);
-    serial::value(ar, memVA);
-    serial::value(ar, memPA);
-    serial::value(ar, memWidth);
-    serial::value(ar, lsqSlot);
-    serial::value(ar, iqSlot);
-    serial::value(ar, isBranch);
-    serial::value(ar, predNextPc);
-    serial::value(ar, actualTaken);
-    serial::value(ar, actualNextPc);
-    serial::value(ar, exc);
-    serial::value(ar, dueDivZero);
-    serial::value(ar, dueMisaligned);
-    serial::value(ar, isSyscall);
+    hier_.forEachPage(visit);
+    for (const dfi::FaultableArray *array :
+         {&intRf_, &fpRf_, &iqArray_, &lsqData_, &lqData_, &sqData_,
+          &itlb_.array(), &dtlb_.array(), &btb_.array(),
+          &btbIndirect_.array(), &ras_.array()})
+        array->forEachPage(visit);
 }
 
-template void Uop::serializeState(serial::Writer &);
-
-template <class Ar>
-void
-FetchedInst::serializeState(Ar &ar)
+std::uint64_t
+OooCore::heldBytes(std::unordered_set<const void *> &pages) const
 {
-    serial::value(ar, op);
-    serial::value(ar, pc);
-    serial::value(ar, predNextPc);
+    std::uint64_t held = sizeof(*this) + hier_.heapBytes() +
+                         predictor_.heapBytes() + btb_.heapBytes() +
+                         btbIndirect_.heapBytes();
+    held += rob_.capacity() * sizeof(Uop) +
+            fetchRing_.capacity() * sizeof(FetchedInst);
+    held += (renameMap_.capacity() + commitMap_.capacity() +
+             freeList_.capacity()) *
+            sizeof(std::uint16_t);
+    // std::vector<bool> capacities count bits.
+    held += (physFree_.capacity() + physReady_.capacity() +
+             lqBusy_.capacity() + sqBusy_.capacity()) /
+            8;
+    held += os_.output().capacity() + record_.output.capacity();
+    held += (os_.dueEvents().capacity() + record_.dueEvents.capacity()) *
+            sizeof(syskit::DueEvent);
+    forEachPage([&held, &pages](const void *page, std::size_t bytes) {
+        // Every copy owns its page-table slot; the page itself is
+        // charged to the first core that reports it.
+        held += sizeof(std::shared_ptr<const void>);
+        if (pages.insert(page).second)
+            held += bytes;
+    });
+    return held;
 }
-
-template void FetchedInst::serializeState(serial::Writer &);
-
-template <class Ar>
-void
-OooCore::serializeState(Ar &ar)
-{
-    // cfg_ is construction-time data and is not part of the stream.
-    // Every member below is dynamic state, listed in declaration
-    // order.
-    serial::value(ar, counters_);
-    serial::value(ar, record_);
-    serial::value(ar, os_);
-    serial::value(ar, finished_);
-    serial::value(ar, cycle_);
-    serial::value(ar, seqGen_);
-    serial::value(ar, committed_);
-    serial::value(ar, hier_);
-    serial::value(ar, itlb_);
-    serial::value(ar, dtlb_);
-    serial::value(ar, predictor_);
-    serial::value(ar, btb_);
-    serial::value(ar, btbIndirect_);
-    serial::value(ar, ras_);
-    serial::value(ar, fetchPc_);
-    serial::value(ar, fetchReadyCycle_);
-    serial::value(ar, fetchRing_);
-    serial::value(ar, fetchHead_);
-    serial::value(ar, fetchCount_);
-    serial::value(ar, intRf_);
-    serial::value(ar, fpRf_);
-    serial::value(ar, renameMap_);
-    serial::value(ar, commitMap_);
-    serial::value(ar, freeList_);
-    serial::value(ar, physFree_);
-    serial::value(ar, physReady_);
-    serial::value(ar, rob_);
-    serial::value(ar, robHead_);
-    serial::value(ar, robCount_);
-    serial::value(ar, iqArray_);
-    serial::value(ar, iqBusy_);
-    serial::value(ar, lsqData_);
-    serial::value(ar, lqData_);
-    serial::value(ar, sqData_);
-    serial::value(ar, lqBusy_);
-    serial::value(ar, sqBusy_);
-    serial::value(ar, frontendStallUntil_);
-}
-
-template void OooCore::serializeState(serial::Writer &);
 
 } // namespace dfi::uarch

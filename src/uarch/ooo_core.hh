@@ -30,8 +30,10 @@
 #define DFI_UARCH_OOO_CORE_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "isa/image.hh"
@@ -120,9 +122,6 @@ struct Uop
     bool dueMisaligned = false;
 
     bool isSyscall = false;
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 /** A decoded-and-predicted instruction waiting for rename. */
@@ -131,9 +130,6 @@ struct FetchedInst
     isa::MacroOp op;
     std::uint32_t pc = 0;
     std::uint32_t predNextPc = 0;
-
-    /** Serialize all fields (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 };
 
 /**
@@ -240,13 +236,27 @@ class OooCore
      */
     std::uint64_t approxStateBytes() const;
 
+    /** Receives one copy-on-write page: its payload and size. */
+    using PageVisitor =
+        std::function<void(const void *page, std::size_t bytes)>;
+
     /**
-     * Write every dynamic member into a Writer: a counting writer
-     * measures what a snapshot keeps alive (CheckpointStore::
-     * heldBytes).  Geometry lives in CoreConfig and is not written;
-     * a core is never read back from bytes.
+     * Call `visit` for every copy-on-write page of the core's arrays
+     * and guest memory (CowBuffer::forEachPage): a page a copy still
+     * shares with its source is reported at the same address.
      */
-    template <class Ar> void serializeState(Ar &ar);
+    void forEachPage(const PageVisitor &visit) const;
+
+    /**
+     * Bytes this core keeps alive that `pages` does not hold yet: the
+     * core object and the heap buffers it owns outright (ROB, fetch
+     * ring, rename state, predictor tables, cache and BTB books, page
+     * tables, OS output, run record), plus every page forEachPage()
+     * reports that is not in `pages`, which gains it.  Summed over a
+     * set of snapshots with one `pages`, a shared page is charged
+     * once (CheckpointStore::heldBytes).
+     */
+    std::uint64_t heldBytes(std::unordered_set<const void *> &pages) const;
 
   private:
     // Pipeline stages (called in reverse order inside tick()).

@@ -42,14 +42,7 @@ class NextLinePrefetcher
     }
 
     dfi::FaultableArray &array() { return state_; }
-
-    /** Serialize the last-miss register (cache spill). */
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        serial::value(ar, state_);
-    }
+    const dfi::FaultableArray &array() const { return state_; }
 
   private:
     std::uint32_t lineBytes_ = 64;

@@ -64,14 +64,4 @@ Tlb::stats() const
     return counters_.named(name_ + ".", kTlbStatNames);
 }
 
-template <class Ar>
-void
-Tlb::serializeState(Ar &ar)
-{
-    serial::value(ar, array_);
-    serial::value(ar, counters_);
-}
-
-template void Tlb::serializeState(serial::Writer &);
-
 } // namespace dfi::uarch

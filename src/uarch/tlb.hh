@@ -53,11 +53,9 @@ class Tlb
     dfi::StatSet stats() const;
 
     dfi::FaultableArray &array() { return array_; }
+    const dfi::FaultableArray &array() const { return array_; }
     /** True when entry `index` currently holds a mapping. */
     bool entryLive(std::size_t index) const;
-
-    /** Serialize the entry array and counters (cache spill). */
-    template <class Ar> void serializeState(Ar &ar);
 
   private:
     std::string name_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the Config store.
+ * Tests for the environment-variable overrides (common/config.hh).
  */
 
 #include <gtest/gtest.h>
@@ -8,56 +8,9 @@
 #include <cstdlib>
 
 #include "common/config.hh"
-#include "common/logging.hh"
 
 namespace
 {
-
-using dfi::Config;
-
-TEST(Config, StringRoundTrip)
-{
-    Config c;
-    c.set("name", std::string("value"));
-    EXPECT_TRUE(c.has("name"));
-    EXPECT_EQ(c.getString("name"), "value");
-    EXPECT_EQ(c.getString("missing", "def"), "def");
-}
-
-TEST(Config, IntRoundTrip)
-{
-    Config c;
-    c.set("rob", std::int64_t{64});
-    EXPECT_EQ(c.getInt("rob"), 64);
-    EXPECT_EQ(c.getUint("rob"), 64u);
-    EXPECT_EQ(c.getInt("missing", -1), -1);
-}
-
-TEST(Config, BoolRoundTrip)
-{
-    Config c;
-    c.set("enabled", true);
-    EXPECT_TRUE(c.getBool("enabled"));
-    c.set("enabled", false);
-    EXPECT_FALSE(c.getBool("enabled", true));
-    EXPECT_TRUE(c.getBool("missing", true));
-}
-
-TEST(Config, MalformedValueIsFatal)
-{
-    Config c;
-    c.set("n", std::string("not-a-number"));
-    EXPECT_THROW(c.getInt("n"), dfi::FatalError);
-    EXPECT_THROW(c.getBool("n"), dfi::FatalError);
-    EXPECT_THROW(c.getDouble("n"), dfi::FatalError);
-}
-
-TEST(Config, DoubleParses)
-{
-    Config c;
-    c.set("f", std::string("0.75"));
-    EXPECT_DOUBLE_EQ(c.getDouble("f"), 0.75);
-}
 
 TEST(Config, EnvUintDefaultsAndParses)
 {

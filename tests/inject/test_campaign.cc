@@ -197,11 +197,13 @@ TEST(Campaign, CheckpointBudgetDropsToBaseSnapshot)
 }
 
 /**
- * The restore points of the store runs restore from, pinned to what
- * the adaptive capture (which took snapshots at 64-cycle spacing and
- * thinned every other one whenever the cap overflowed) kept: {0, I,
- * 2I, ...} below the golden length, I the smallest 64 x 2^k at which
- * the live-snapshot cap covers the run.
+ * The restore points of the store runs restore from: {0, I, 2I, ...}
+ * below the golden length, I the smallest 64 x 2^k at which the
+ * live-snapshot cap covers the run.  The first five rows are what the
+ * adaptive capture (which took snapshots at 64-cycle spacing and
+ * thinned every other one whenever the cap overflowed) kept.  The
+ * last pins a target of 1: its cap is 2, like every other target's
+ * twice the target, not the base snapshot alone.
  */
 TEST(Campaign, RestoreScheduleIsPinned)
 {
@@ -222,6 +224,7 @@ TEST(Campaign, RestoreScheduleIsPinned)
         {"marss-x86", "micro", 6, 256, 1'372, 12, 128, 10},
         {"gem5-x86", "micro", 64, 8, 1'463, 3, 512, 2},
         {"marss-x86", "sha", 6, 8, 98'512, 3, 65'536, 1},
+        {"marss-x86", "micro", 1, 256, 1'372, 2, 1'024, 1},
     };
     for (const Pinned &pin : pins) {
         CampaignConfig cfg = microConfig(pin.core, "l1d");

@@ -149,6 +149,34 @@ TEST(FaultableArray, FreshArrayAliasesOneFillPage)
     EXPECT_EQ(a.sharedBackingPages(), 7u);
 }
 
+TEST(FaultableArray, PageWalkReportsSharedPagesAtOneAddress)
+{
+    auto pages = [](const FaultableArray &array) {
+        std::vector<const void *> out;
+        array.forEachPage([&out](const void *page, std::size_t bytes) {
+            EXPECT_EQ(bytes, 4096u);
+            out.push_back(page);
+        });
+        return out;
+    };
+    // Every slot of a fresh array reports its one fill page...
+    FaultableArray a("walk", 4096, 64);
+    const std::vector<const void *> fresh = pages(a);
+    ASSERT_EQ(fresh.size(), 8u);
+    for (const void *page : fresh)
+        EXPECT_EQ(page, fresh[0]);
+
+    // ...and a copy that writes row 512 (page 1) reports a page of its
+    // own for that slot alone.
+    FaultableArray b = a;
+    b.writeBits(512, 0, 64, 1);
+    const std::vector<const void *> written = pages(b);
+    ASSERT_EQ(written.size(), 8u);
+    for (std::size_t slot = 0; slot < written.size(); ++slot)
+        EXPECT_EQ(written[slot] == fresh[slot], slot != 1) << slot;
+    EXPECT_EQ(pages(a), fresh);
+}
+
 TEST(FaultableArrayWatch, ReadFirstDetected)
 {
     FaultableArray a("w1", 8, 32);
