@@ -28,11 +28,11 @@
 #      `cache_source: memory` (prepared state is keyed by what
 #      prepare() reads, not by structure or seed) and to be
 #      byte-equal to a local dfi-campaign run of the same flags;
-#   5. `--stats` to report `trace_builds`, `trace_bytes`, `refines`
-#      and `refined_bytes` above 0: the pruned requests built golden
-#      traces on the cached preparations, the requests that simulated
-#      a run built their dense checkpoint stores, and the bytes of
-#      both are charged to the cache;
+#   5. `--stats` to report `trace_builds`, `trace_bytes`, `refines`,
+#      `refined_bytes` and `passes` above 0: the pruned requests
+#      built golden traces on the cached preparations, their golden
+#      passes captured the dense checkpoint stores, the bytes of both
+#      are charged to the cache, and the passes are counted;
 #   6. the daemon to drain and exit 0 on a shutdown request.
 #
 # Leg 2 — restart persistence:
@@ -281,7 +281,7 @@ fi
 timeout 30 "$SERVE_BIN" --connect "$SOCKET" --stats \
     > "$WORKDIR/stats1.json"
 cat "$WORKDIR/stats1.json" >&2
-for counter in trace_builds trace_bytes refines refined_bytes; do
+for counter in trace_builds trace_bytes refines refined_bytes passes; do
     value=$(grep -o "\"$counter\": [0-9]*" "$WORKDIR/stats1.json" |
         awk '{print $2}')
     if [[ -z "$value" || "$value" -eq 0 ]]; then

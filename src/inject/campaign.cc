@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,6 +60,7 @@ buildProgram(const CampaignConfig &cfg)
     policy.budgetBytes = cfg.checkpointMemBudgetMB * 1024 * 1024;
     prep->checkpoints = CheckpointStore(policy);
     prep->checkpoints.captureBase(uarch::OooCore(core_cfg, prep->image));
+    prep->baseBytes = prep->checkpoints.heldBytes();
     return prep;
 }
 
@@ -138,6 +140,10 @@ CampaignConfig::validate() const
         bad("confidence", "must be in (0, 1)");
     if (margin <= 0.0 || margin >= 1.0)
         bad("margin", "must be in (0, 1)");
+    if (numInjections > kMaxCampaignRuns)
+        bad("injections", "must be <= " +
+                              std::to_string(kMaxCampaignRuns) +
+                              " (the most runs a campaign plans)");
     if (exhaustive && numInjections != 0)
         bad("injections",
             "--exhaustive enumerates the whole fault space; drop "
@@ -306,48 +312,194 @@ bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg)
                &cfg.telemetryTiming);
 }
 
-std::shared_ptr<const GoldenTrace>
-PreparedCampaign::trace(const std::string &component) const
+void
+PreparedCampaign::buildTraces(const std::vector<std::string> &components,
+                              const std::vector<std::string> &ahead) const
 {
+    ensureBuilt(components, ahead, false);
+}
+
+void
+PreparedCampaign::ensureBuilt(const std::vector<std::string> &components,
+                              const std::vector<std::string> &ahead,
+                              bool store) const
+{
+    // A base-only store needs no pass, so a trace pass captures the
+    // store only when it will hold more than the base snapshot.
+    const bool rides = checkpoints.maxLiveSnapshots() > 1;
     std::unique_lock<std::mutex> lock(memo_.mu);
-    TraceSlot &slot = memo_.slots[component];
-    memo_.cv.wait(lock, [&slot] { return !slot.building; });
-    if (slot.trace != nullptr)
-        return slot.trace;
-    slot.building = true;
+    std::vector<std::string> claim;
+    const auto unclaimed = [this, &claim](const std::string &component) {
+        const auto it = memo_.slots.find(component);
+        return (it == memo_.slots.end() ||
+                (it->second.trace == nullptr && !it->second.building)) &&
+               std::find(claim.begin(), claim.end(), component) ==
+                   claim.end();
+    };
+    while (true) {
+        // Work out what is missing and what of it no pass is building
+        // again after every wake: a pass may have built it, or failed.
+        claim.clear();
+        bool waiting = false;
+        for (const std::string &component : components) {
+            const auto it = memo_.slots.find(component);
+            if (it != memo_.slots.end() && it->second.building)
+                waiting = true;
+            else if (unclaimed(component))
+                claim.push_back(component);
+        }
+        const bool missing = memo_.refined == nullptr;
+        waiting = waiting || (store && missing && memo_.capturing);
+        const bool capture = missing && !memo_.capturing &&
+                             (store || (rides && !claim.empty()));
+        if (claim.empty() && !capture) {
+            if (!waiting)
+                return;
+            memo_.cv.wait(lock);
+            continue;
+        }
+        if (!claim.empty()) {
+            for (const std::string &component : ahead) {
+                if (unclaimed(component))
+                    claim.push_back(component);
+            }
+        }
+        runPass(lock, claim, capture);
+    }
+}
+
+void
+PreparedCampaign::runPass(std::unique_lock<std::mutex> &lock,
+                          const std::vector<std::string> &claim,
+                          bool capture) const
+{
+    // The claim ends on every exit, a throw included: its slots and
+    // the store are free again and every waiter works out anew what
+    // it still needs.
+    struct Release
+    {
+        Memo &memo;
+        std::unique_lock<std::mutex> &lock;
+        const std::vector<std::string> &claim;
+        bool capture;
+
+        Release(Memo &m, std::unique_lock<std::mutex> &l,
+                const std::vector<std::string> &c, bool cap)
+            : memo(m), lock(l), claim(c), capture(cap)
+        {
+        }
+        Release(const Release &) = delete;
+        Release &operator=(const Release &) = delete;
+        ~Release()
+        {
+            if (!lock.owns_lock())
+                lock.lock();
+            for (const std::string &component : claim) {
+                const auto it = memo.slots.find(component);
+                if (it != memo.slots.end())
+                    it->second.building = false;
+            }
+            memo.capturing = memo.capturing && !capture;
+            --memo.inFlight;
+            memo.cv.notify_all();
+        }
+    };
+    ++memo_.inFlight;
+    const Release release(memo_, lock, claim, capture);
+    for (const std::string &component : claim)
+        memo_.slots[component].building = true;
+    memo_.capturing = memo_.capturing || capture;
     lock.unlock();
 
-    GoldenTrace built;
+    std::vector<std::shared_ptr<GoldenTrace>> built;
+    std::shared_ptr<CheckpointStore> store;
+    std::uint64_t held = 0;
+    bool ticked = false;
     try {
         // A copy of the base (cycle-0) snapshot is a reset core with
         // the golden pass's exact configuration.
         uarch::OooCore probe = checkpoints.sourceFor(0);
-        built = traceGoldenRun(probe, golden,
-                               resolveComponent(component, probe));
+        if (capture) {
+            store = std::make_shared<CheckpointStore>(checkpoints.policy(),
+                                                      golden.cycles);
+            store->captureBase(probe);
+        }
+        // One pass traces the structures of every claimed component;
+        // each component's trace is then its own slice of the pass.
+        std::vector<dfi::StructureId> structures;
+        std::vector<std::size_t> first_of;
+        for (const std::string &component : claim) {
+            first_of.push_back(structures.size());
+            for (const dfi::StructureId id :
+                 resolveComponent(component, probe))
+                structures.push_back(id);
+        }
+        first_of.push_back(structures.size());
+        ticked = !claim.empty() ||
+                 (store != nullptr && store->maxLiveSnapshots() > 1);
+        if (ticked) {
+            GoldenTrace pass =
+                traceGoldenRun(probe, golden, structures, store.get());
+            for (std::size_t i = 0; i < claim.size(); ++i) {
+                const auto first = pass.structures.begin();
+                auto trace = std::make_shared<GoldenTrace>();
+                trace->terminalCycle = pass.terminalCycle;
+                trace->committedAfter = pass.committedAfter;
+                trace->structures.assign(
+                    std::make_move_iterator(first + first_of[i]),
+                    std::make_move_iterator(first + first_of[i + 1]));
+                built.push_back(std::move(trace));
+            }
+        }
+        if (store != nullptr)
+            held = store->heldBytes();
     } catch (...) {
         lock.lock();
-        slot.building = false;
         memo_.bad = memo_.bad || handlingFatal();
-        memo_.cv.notify_all();
         throw;
     }
 
+    // Publishing allocates nothing: the slots exist since the claim.
     lock.lock();
-    // One golden run, one committed-instructions table: later traces
-    // share the first one's.
-    if (memo_.committedAfter == nullptr) {
-        memo_.committedAfter = built.committedAfter;
-        memo_.bytes +=
-            memo_.committedAfter->size() * sizeof(std::uint32_t);
-    } else {
-        built.committedAfter = memo_.committedAfter;
+    for (std::size_t i = 0; i < claim.size(); ++i) {
+        GoldenTrace &trace = *built[i];
+        // One golden run, one committed-instructions table: later
+        // passes share the first one's.  A pass over components this
+        // core lacks records none, and classifies no site.
+        if (trace.committedAfter != nullptr &&
+            memo_.committedAfter == nullptr) {
+            memo_.committedAfter = trace.committedAfter;
+            memo_.traceBytes +=
+                memo_.committedAfter->size() * sizeof(std::uint32_t);
+        } else if (trace.committedAfter != nullptr) {
+            trace.committedAfter = memo_.committedAfter;
+        }
+        memo_.traceBytes += trace.structureBytes();
+        memo_.slots.find(claim[i])->second.trace = std::move(built[i]);
+        ++memo_.builds;
     }
-    slot.trace = std::make_shared<const GoldenTrace>(std::move(built));
-    slot.building = false;
-    ++memo_.builds;
-    memo_.bytes += slot.trace->structureBytes();
-    memo_.cv.notify_all();
-    return slot.trace;
+    if (store != nullptr) {
+        memo_.refined = std::move(store);
+        memo_.refinedBytes = held;
+    }
+    if (ticked)
+        ++memo_.passes;
+}
+
+std::shared_ptr<const GoldenTrace>
+PreparedCampaign::trace(const std::string &component) const
+{
+    ensureBuilt({component}, {}, false);
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.slots.find(component)->second.trace;
+}
+
+std::shared_ptr<const CheckpointStore>
+PreparedCampaign::refined() const
+{
+    ensureBuilt({}, {}, true);
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.refined;
 }
 
 std::uint64_t
@@ -361,68 +513,14 @@ std::uint64_t
 PreparedCampaign::traceBytes() const
 {
     std::lock_guard<std::mutex> lock(memo_.mu);
-    return memo_.bytes;
-}
-
-std::shared_ptr<const CheckpointStore>
-PreparedCampaign::refined() const
-{
-    std::unique_lock<std::mutex> lock(memo_.mu);
-    memo_.cv.wait(lock, [this] { return !memo_.refining; });
-    if (memo_.refined != nullptr)
-        return memo_.refined;
-    memo_.refining = true;
-    lock.unlock();
-
-    std::shared_ptr<CheckpointStore> built;
-    std::uint64_t held = 0;
-    try {
-        built = std::make_shared<CheckpointStore>(checkpoints.policy(),
-                                                  golden.cycles);
-        uarch::OooCore core = checkpoints.sourceFor(0);
-        built->captureBase(core);
-        // The golden run again, observed every tick: every snapshot
-        // is the golden core at its cycle.  A replay that runs past
-        // the golden run or ends short of it means the prepared state
-        // was not what prepare() produced.
-        if (built->maxLiveSnapshots() > 1) {
-            while (core.cycle() <= golden.cycles && core.tick())
-                built->observe(core);
-            if (core.cycle() != golden.cycles)
-                fatal("checkpoint replay ended at cycle %s, the golden "
-                      "run at %s",
-                      core.cycle(), golden.cycles);
-        }
-        held = built->heldBytes();
-    } catch (...) {
-        lock.lock();
-        memo_.refining = false;
-        memo_.bad = memo_.bad || handlingFatal();
-        memo_.cv.notify_all();
-        throw;
-    }
-
-    lock.lock();
-    memo_.refined = std::move(built);
-    memo_.refining = false;
-    ++memo_.refines;
-    memo_.refinedBytes = held;
-    memo_.cv.notify_all();
-    return memo_.refined;
-}
-
-bool
-PreparedCampaign::bad() const
-{
-    std::lock_guard<std::mutex> lock(memo_.mu);
-    return memo_.bad;
+    return memo_.traceBytes;
 }
 
 std::uint64_t
 PreparedCampaign::refines() const
 {
     std::lock_guard<std::mutex> lock(memo_.mu);
-    return memo_.refines;
+    return memo_.refined != nullptr ? 1 : 0;
 }
 
 std::uint64_t
@@ -433,14 +531,35 @@ PreparedCampaign::refinedBytes() const
 }
 
 std::uint64_t
+PreparedCampaign::passes() const
+{
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.passes;
+}
+
+std::uint64_t
+PreparedCampaign::passesInFlight() const
+{
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.inFlight;
+}
+
+bool
+PreparedCampaign::bad() const
+{
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    return memo_.bad;
+}
+
+std::uint64_t
 PreparedCampaign::approxBytes() const
 {
     std::uint64_t bytes = sizeof(PreparedCampaign);
     bytes += image.code.size() + image.data.size();
     bytes += expectedOutput.size() + golden.output.size();
-    bytes += checkpoints.snapshotBoundBytes();
+    bytes += baseBytes;
     std::lock_guard<std::mutex> lock(memo_.mu);
-    return bytes + memo_.bytes + memo_.refinedBytes;
+    return bytes + memo_.traceBytes + memo_.refinedBytes;
 }
 
 void
@@ -512,9 +631,9 @@ InjectionCampaign::prepare()
               errors[0].message);
 
     // The golden pass, from a copy of the base snapshot.  The store
-    // keeps only that snapshot, a COW copy of the reset core:
-    // refined() replays the run from it to capture the snapshots runs
-    // restore from, trace() to record a component's trace.
+    // keeps only that snapshot, a COW copy of the reset core: the
+    // next pass replays the run from it to record traces and capture
+    // the snapshots runs restore from (buildTraces()).
     std::shared_ptr<PreparedCampaign> prep = buildProgram(cfg_);
     uarch::OooCore core = prep->checkpoints.sourceFor(0);
     while (core.tick()) {
@@ -529,6 +648,7 @@ InjectionCampaign::prepare()
     if (prep->golden.output != prep->expectedOutput)
         fatal("golden run of '%s' on '%s' produced wrong output",
               cfg_.benchmark, cfg_.coreName);
+    prep->memo_.passes = 1;
     prep_ = std::move(prep);
 }
 

@@ -88,6 +88,18 @@ struct ConfigError
     std::string message;
 };
 
+/**
+ * The most runs one campaign may plan, however the count is set:
+ * CampaignConfig::validate() refuses a larger `--injections`, and
+ * planCampaign() a larger count derived from the sampling parameters
+ * or an exhaustive enumeration.  Planning peaks at a few hundred
+ * bytes per run (1.3 GiB for a pruned plan of this many runs), so
+ * this bounds what any request can make the planner allocate before
+ * it simulates; the largest figure cell plans 50,000 runs, and the
+ * exhaustive lsq plan of `micro` about 1.4 million.
+ */
+inline constexpr std::uint64_t kMaxCampaignRuns = 4'000'000;
+
 /** Full campaign parameters. */
 struct CampaignConfig
 {
@@ -98,7 +110,7 @@ struct CampaignConfig
 
     /**
      * Number of injection runs; 0 derives it from the statistical
-     * sampling parameters below.
+     * sampling parameters below.  At most kMaxCampaignRuns.
      */
     std::uint64_t numInjections = 0;
     double confidence = 0.99;
@@ -279,7 +291,9 @@ void bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg);
  * The golden traces that classification reads (inject/prune.hh) and
  * the checkpoint store that faulty runs restore from are a pure
  * function of the same state, so the prepared state memoizes them
- * (trace(), refined()) and stays a shareable value.
+ * and stays a shareable value.  One instrumented golden pass builds
+ * both: it traces every component asked for and, unless it is built
+ * already, captures the restore store (buildTraces()).
  */
 struct PreparedCampaign
 {
@@ -290,69 +304,93 @@ struct PreparedCampaign
     /**
      * The campaign's checkpoint policy and its base (cycle-0)
      * snapshot, the reset core.  Nothing else: prepare()'s golden
-     * pass, trace() and refined() start from a copy of that snapshot.
+     * pass and every later pass start from a copy of that snapshot.
      */
     CheckpointStore checkpoints;
+
+    /** checkpoints.heldBytes(), counted when the state is built. */
+    std::uint64_t baseBytes = 0;
+
+    /**
+     * Build the traces of `components` not built yet, each in a
+     * golden pass from a copy of the base snapshot.  A pass this call
+     * runs also traces those of `ahead` that no pass has built or is
+     * building, and captures the restore store when no pass has, if
+     * the policy affords more than the base snapshot.  Nothing in
+     * `ahead` makes a pass run.  Passes claim what they build:
+     * callers wait only for a missing component another pass is
+     * building, passes for disjoint components run in parallel, and
+     * a failed pass (fatal, bad_alloc) publishes nothing and leaves
+     * its claims to the next caller.
+     */
+    void buildTraces(const std::vector<std::string> &components,
+                     const std::vector<std::string> &ahead = {}) const;
 
     /**
      * The checkpoint store faulty runs restore from: the policy of
      * `checkpoints` (the `--checkpoints` target and the budget),
-     * captured by replaying the golden run from a copy of the base
-     * snapshot.  Built on first use, single-flight like trace();
-     * never serialized.  A policy that affords only the base
-     * snapshot (checkpoints off, or a budget below two snapshots)
-     * skips the replay.  A replay that does not end at the golden
-     * run's cycle is a fatal() error.
+     * captured from a pass over the golden run under the golden
+     * run's length: a trace pass's, or a pass of its own when none
+     * captured it first.  A policy that affords only the base
+     * snapshot builds it without a pass.  Never serialized.  A pass
+     * that does not reproduce the golden run is a fatal() error.
      */
     std::shared_ptr<const CheckpointStore> refined() const;
 
-    /** refined() stores built so far (failed builds not counted). */
+    /** Restore stores built so far: 0 or 1. */
     std::uint64_t refines() const;
 
     /** Bytes refined() keeps alive (CheckpointStore::heldBytes). */
     std::uint64_t refinedBytes() const;
 
     /**
-     * The golden trace of `component`, built on first use from a copy
-     * of the base checkpoint — a reset core with the golden pass's
-     * exact CoreConfig, configTweak included.  Single-flight per
-     * component: concurrent callers for one component wait for one
-     * build, other components build in parallel, and a failed build
-     * (fatal, bad_alloc) leaves the slot empty for the next caller.
-     * The traces of one prepared state share one committed-
-     * instructions table.  Traces are never serialized: a loaded
-     * state rebuilds them on demand.
+     * The golden trace of `component` (buildTraces({component})),
+     * traced on a reset core with the golden pass's exact
+     * CoreConfig, configTweak included.  The traces of one prepared
+     * state share one committed-instructions table.  Traces are never
+     * serialized: a loaded state rebuilds them on demand.
      */
     std::shared_ptr<const GoldenTrace>
     trace(const std::string &component) const;
 
-    /** Traces built so far (failed builds not counted). */
+    /** Traces built so far. */
     std::uint64_t traceBuilds() const;
 
     /** Bytes held by the traces built so far. */
     std::uint64_t traceBytes() const;
 
     /**
-     * True once trace() or refined() threw a FatalError: the state
-     * failed a replay of its own golden run, so it is not what
-     * prepare() builds, and a cache holding it should drop it.
+     * Golden passes this state has run to completion: prepare()'s
+     * and every pass that traced or captured the restore store.  A
+     * state loaded from the spill starts at 0.
+     */
+    std::uint64_t passes() const;
+
+    /** Passes running on this state now. */
+    std::uint64_t passesInFlight() const;
+
+    /**
+     * True once a pass threw a FatalError: the state failed a replay
+     * of its own golden run, so it is not what prepare() builds, and
+     * a cache holding it should drop it.
      */
     bool bad() const;
 
     /**
      * Resident-footprint estimate in bytes (the service's LRU budget
-     * accounting), traces and refined() store included.  The base
-     * snapshot is charged at the per-snapshot bound, the refined()
-     * store at the bytes it holds.  Takes the memo's lock, so a
-     * caller may hold its own lock around it as long as no build ever
-     * waits on that lock.
+     * accounting): the artifacts, the base snapshot at what it holds
+     * (baseBytes), and the traces and refined() store at what they
+     * hold.  Takes the memo's lock, so a caller may hold its own lock
+     * around it as long as no pass ever waits on that lock.
      */
     std::uint64_t approxBytes() const;
 
   private:
+    friend class InjectionCampaign; //!< counts prepare()'s pass
+
     struct TraceSlot
     {
-        bool building = false;
+        bool building = false; //!< claimed by a running pass
         std::shared_ptr<const GoldenTrace> trace;
     };
     /** The memo of traces and refined() store: mutable cache state
@@ -364,14 +402,33 @@ struct PreparedCampaign
         std::map<std::string, TraceSlot> slots;
         std::shared_ptr<const std::vector<std::uint32_t>> committedAfter;
         std::uint64_t builds = 0;
-        std::uint64_t bytes = 0;
-        bool refining = false;
+        std::uint64_t traceBytes = 0;
+        bool capturing = false; //!< a running pass captures the store
         std::shared_ptr<const CheckpointStore> refined;
-        std::uint64_t refines = 0;
         std::uint64_t refinedBytes = 0;
+        std::uint64_t passes = 0;
+        std::uint64_t inFlight = 0;
         bool bad = false;
     };
     mutable Memo memo_;
+
+    /**
+     * Return once `components` are traced and, with `store`, the
+     * restore store is built, running a pass for whatever no other
+     * pass is building (buildTraces()).
+     */
+    void ensureBuilt(const std::vector<std::string> &components,
+                     const std::vector<std::string> &ahead,
+                     bool store) const;
+
+    /**
+     * One pass that builds `claim` and, with `capture`, the store.
+     * Called with `lock` held on memo_.mu and returns with it held;
+     * the claim is released on every exit.
+     */
+    void runPass(std::unique_lock<std::mutex> &lock,
+                 const std::vector<std::string> &claim,
+                 bool capture) const;
 };
 
 /**

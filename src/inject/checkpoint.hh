@@ -38,8 +38,9 @@
  * with the campaign's policy; a load from the disk spill rebuilds it
  * from the config.  Faulty runs restore from the store a replay of
  * the golden run from that snapshot captures under the same policy
- * and the golden run's length, built on first use
- * (PreparedCampaign::refined()).
+ * and the golden run's length: the first pass after prepare(), the
+ * one that also records golden traces
+ * (PreparedCampaign::buildTraces()).
  */
 
 #ifndef DFI_INJECT_CHECKPOINT_HH

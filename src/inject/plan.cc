@@ -15,14 +15,6 @@ namespace
 {
 
 /**
- * Ceiling on `--exhaustive` enumeration.  Exhaustive campaigns are
- * meant for small structures (the pruning pipeline then collapses
- * most sites); anything bigger than this is a config mistake, not a
- * campaign.
- */
-constexpr std::uint64_t kMaxExhaustiveSites = 4'000'000;
-
-/**
  * Stage 1, exhaustive flavor: one single-bit transient site for every
  * bit x cycle of the component, in (structure, entry, bit, cycle)
  * order with sequential runIds.
@@ -47,11 +39,14 @@ enumerateExhaustive(const CampaignConfig &config,
         fatal("exhaustive enumeration: component '%s' has no "
               "injectable bits on core '%s'",
               config.component, config.coreName);
-    if (total > kMaxExhaustiveSites)
+    // Exhaustive campaigns are meant for small structures (the
+    // pruning pipeline then collapses most sites); anything bigger is
+    // a config mistake, not a campaign.
+    if (total > kMaxCampaignRuns)
         fatal("exhaustive enumeration of '%s' would plan %s runs "
               "(cap %s); pick a smaller structure or workload, or "
               "sample with --injections",
-              config.component, total, kMaxExhaustiveSites);
+              config.component, total, kMaxCampaignRuns);
 
     std::vector<dfi::FaultMask> masks;
     masks.reserve(total);
@@ -302,6 +297,12 @@ planCampaign(const CampaignConfig &config,
                 componentBits(config.component, probe) * golden.cycles;
             runs = requiredInjections(population, config.confidence,
                                       config.margin);
+            if (runs > kMaxCampaignRuns)
+                fatal("plan: confidence %s and margin %s call for %s "
+                      "runs (cap %s); widen --margin, lower "
+                      "--confidence or set --injections",
+                      config.confidence, config.margin, runs,
+                      kMaxCampaignRuns);
         }
 
         MaskGenConfig gen;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "inject/checkpoint.hh"
 #include "storage/faultable_array.hh"
 #include "uarch/ooo_core.hh"
 
@@ -186,7 +187,8 @@ GoldenTrace::structureBytes() const
 
 GoldenTrace
 traceGoldenRun(uarch::OooCore &probe, const syskit::RunRecord &golden,
-               const std::vector<StructureId> &structures)
+               const std::vector<StructureId> &structures,
+               CheckpointStore *store)
 {
     if (probe.cycle() != 0)
         panic("prune: trace core already ticked (cycle %s)",
@@ -232,14 +234,21 @@ traceGoldenRun(uarch::OooCore &probe, const syskit::RunRecord &golden,
             taps.try_emplace(probe.arrayFor(valid), current_cycle)
                 .first->second.gated.push_back(&rec);
     }
+    // A pass that traces nothing (it only feeds `store`) needs no
+    // liveness reports and no committed-instructions table.
+    const bool tracing = !structures.empty();
     for (auto &[array, tap] : taps)
         array->setObserver(&tap);
-    probe.setLivenessSink(&router);
+    if (tracing)
+        probe.setLivenessSink(&router);
 
-    auto committed =
-        std::make_shared<std::vector<std::uint32_t>>(golden.cycles + 1);
-    (*committed)[0] =
-        static_cast<std::uint32_t>(probe.committedInstructions());
+    std::shared_ptr<std::vector<std::uint32_t>> committed;
+    if (tracing) {
+        committed = std::make_shared<std::vector<std::uint32_t>>(
+            golden.cycles + 1);
+        (*committed)[0] =
+            static_cast<std::uint32_t>(probe.committedInstructions());
+    }
     std::uint64_t terminal_cycle = 0;
     while (true) {
         const std::uint64_t next_cycle = probe.cycle() + 1;
@@ -252,6 +261,10 @@ traceGoldenRun(uarch::OooCore &probe, const syskit::RunRecord &golden,
             terminal_cycle = next_cycle;
             break;
         }
+        if (store != nullptr)
+            store->observe(probe);
+        if (!tracing)
+            continue;
         if (probe.committedInstructions() > kU32Max)
             panic("prune: %s committed instructions overflow the trace",
                   probe.committedInstructions());
@@ -278,7 +291,8 @@ traceGoldenRun(uarch::OooCore &probe, const syskit::RunRecord &golden,
     }
     for (auto &[array, tap] : taps)
         array->setObserver(nullptr);
-    probe.setLivenessSink(nullptr);
+    if (tracing)
+        probe.setLivenessSink(nullptr);
 
     // The trace is only usable if it reproduced the golden run
     // exactly; anything else means the model is nondeterministic or
@@ -288,8 +302,8 @@ traceGoldenRun(uarch::OooCore &probe, const syskit::RunRecord &golden,
         traced.cycles != golden.cycles ||
         traced.instructions != golden.instructions ||
         traced.output != golden.output) {
-        fatal("prune: trace run diverged from the golden run "
-              "(%s cycles vs %s) — refusing to classify",
+        fatal("prune: traced golden pass diverged from the golden run "
+              "(ended at cycle %s, the golden run at %s)",
               traced.cycles, golden.cycles);
     }
 

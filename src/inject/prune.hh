@@ -58,6 +58,8 @@ class OooCore;
 namespace dfi::inject
 {
 
+class CheckpointStore;
+
 /** What the static classification decided for one fault site. */
 enum class SiteVerdict : std::uint8_t
 {
@@ -170,7 +172,13 @@ struct GoldenTrace
 
 /**
  * Tick `probe` through one instrumented golden run and record the
- * trace of `structures`.
+ * trace of `structures`, which may span several components.
+ * When `store` is given, it observes the probe after every tick that
+ * does not end the run, as a golden pass feeds a CheckpointStore, so
+ * the same pass also captures the restore store; its base must
+ * already be captured.  Snapshots carry no taps.  With no
+ * `structures` the pass only feeds `store` and checks the run: the
+ * result has no committed-instructions table.
  *
  * `probe` must be a core of the campaign's exact configuration and
  * image at cycle 0 (freshly constructed, or a copy of the base
@@ -179,7 +187,8 @@ struct GoldenTrace
  */
 GoldenTrace traceGoldenRun(uarch::OooCore &probe,
                            const syskit::RunRecord &golden,
-                           const std::vector<dfi::StructureId> &structures);
+                           const std::vector<dfi::StructureId> &structures,
+                           CheckpointStore *store = nullptr);
 
 /**
  * Classify every site from a golden trace that covers the sites'

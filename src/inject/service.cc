@@ -17,6 +17,7 @@
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "inject/mask_gen.hh"
+#include "inject/plan.hh"
 #include "inject/telemetry.hh"
 #include "storage/fault.hh"
 
@@ -599,6 +600,9 @@ CampaignService::cacheRecharge(
     stats_.refines += refines - it->refines;
     it->refines = refines;
     it->refinedBytes = prep->refinedBytes();
+    const std::uint64_t passes = prep->passes();
+    stats_.passes += passes - it->passes;
+    it->passes = passes;
     cacheBytes_ -= it->bytes;
     it->bytes = prep->approxBytes();
     if (it->bytes > opts_.cacheBudgetBytes) {
@@ -961,6 +965,21 @@ CampaignService::execute(const ServiceRequest &request,
             publishFlight(prep_key, *flight, prep, "");
             published = true;
         }
+        // A pass that traces this request's component also traces
+        // every component pruned requests have asked for, so once a
+        // sweep's components have been asked for, each further
+        // program it reaches takes one pass.  A request whose trace
+        // is built runs no pass (DESIGN.md section 11).
+        if (prep != nullptr && planPrunes(cfg)) {
+            std::vector<std::string> asked;
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                askedComponents_.insert(cfg.component);
+                asked.assign(askedComponents_.begin(),
+                             askedComponents_.end());
+            }
+            prep->buildTraces({cfg.component}, asked);
+        }
         const CampaignResult result = campaign.run(progress);
 
         response.runsTotal =
@@ -1147,6 +1166,7 @@ CampaignService::statsJson() const
     cache.set("refines", json::Value::unsignedInt(stats.refines));
     cache.set("refined_bytes",
               json::Value::unsignedInt(stats.refinedBytes));
+    cache.set("passes", json::Value::unsignedInt(stats.passes));
     json::Value queue = json::Value::object();
     queue.set("active", json::Value::unsignedInt(active_));
     queue.set("running", json::Value::unsignedInt(running_));

@@ -20,12 +20,14 @@
  *  - cached preparations live in an LRU keyed by a byte budget
  *    (Options::cacheBudgetBytes), charged at
  *    PreparedCampaign::approxBytes(); cold entries evict first.  A
- *    prepared state's golden traces (one per component, built by the
- *    first pruned request that needs it) and the checkpoint store
- *    runs restore from (built by the first request that simulates a
- *    run) live and die with it: each executed request re-charges its
- *    entry, so they count against the budget, and they are never
- *    spilled to disk;
+ *    prepared state's golden traces (one per component) and the
+ *    checkpoint store runs restore from live and die with it.  One
+ *    golden pass builds them: a pruned request whose component is
+ *    not traced on its state runs a pass that also traces every
+ *    component pruned requests have asked this service for, and
+ *    captures the store unless it is built already.  Each executed
+ *    request re-charges its entry, so they count against the
+ *    budget, and they are never spilled to disk;
  *  - preparation is single-flight: when several racing requests miss
  *    on the same prepKey(), exactly one (the leader) runs prepare()
  *    and the rest block until the shared artifacts are published —
@@ -73,6 +75,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 
 #include "common/json.hh"
@@ -253,6 +256,13 @@ class CampaignService
         std::uint64_t refinedBytes = 0;
 
         /**
+         * Golden passes run by cached prepared states
+         * (PreparedCampaign::passes): a cold prepare() and every pass
+         * that traced or captured the restore store.
+         */
+        std::uint64_t passes = 0;
+
+        /**
          * Prepared states dropped from memory and disk because they
          * failed a replay of their own golden run
          * (PreparedCampaign::bad()).
@@ -305,6 +315,7 @@ class CampaignService
         std::uint64_t traceBuilds = 0;  //!< already in stats_
         std::uint64_t refinedBytes = 0; //!< share of bytes
         std::uint64_t refines = 0;      //!< already in stats_
+        std::uint64_t passes = 0;       //!< already in stats_
     };
 
     /**
@@ -414,6 +425,10 @@ class CampaignService
 
     // In-flight preparations by prepKey() (single-flight dedup).
     std::map<std::string, std::shared_ptr<PrepFlight>> flights_;
+
+    // Components pruned requests have asked for, on any program: a
+    // pass that traces one program traces these too.
+    std::set<std::string> askedComponents_;
 
     // FIFO admission queue: waiting_ holds tickets in issue order;
     // the front ticket starts as soon as a worker slot frees up.

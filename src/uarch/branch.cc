@@ -97,8 +97,15 @@ TournamentPredictor::update(std::uint32_t pc, bool taken)
 Btb::Btb(const BtbConfig &config)
     : cfg_(config), sets_(config.entries / config.ways),
       array_(config.name, config.entries, 1 + kBtbTagBits + 32),
-      lru_(config.entries, 0)
+      lru_(config.ways > 1 ? config.entries : 0, 0)
 {
+}
+
+void
+Btb::touch(std::uint32_t entry)
+{
+    if (!lru_.empty())
+        lru_[entry] = ++stamp_;
 }
 
 std::uint32_t
@@ -127,7 +134,7 @@ Btb::lookup(std::uint32_t pc)
             array_.readBits(entry, 1, kBtbTagBits));
         if (stored == tag) {
             counters_.inc(BtbStat::Hits);
-            lru_[entry] = ++stamp_;
+            touch(entry);
             return static_cast<std::uint32_t>(
                 array_.readBits(entry, 1 + kBtbTagBits, 32));
         }
@@ -157,7 +164,7 @@ Btb::update(std::uint32_t pc, std::uint32_t target)
             victim = entry;
             break;
         }
-        if (lru_[entry] < best) {
+        if (!lru_.empty() && lru_[entry] < best) {
             best = lru_[entry];
             victim = entry;
         }
@@ -165,7 +172,7 @@ Btb::update(std::uint32_t pc, std::uint32_t target)
     array_.writeBit(victim, 0, true);
     array_.writeBits(victim, 1, kBtbTagBits, tag);
     array_.writeBits(victim, 1 + kBtbTagBits, 32, target);
-    lru_[victim] = ++stamp_;
+    touch(victim);
 }
 
 bool

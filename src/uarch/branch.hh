@@ -124,9 +124,14 @@ class Btb
     std::uint32_t setOf(std::uint32_t pc) const;
     std::uint32_t tagOf(std::uint32_t pc) const;
 
+    /** Mark `entry` most recently used (set-associative only). */
+    void touch(std::uint32_t entry);
+
     BtbConfig cfg_;
     std::uint32_t sets_ = 0;
     dfi::FaultableArray array_; //!< rows: [valid:1][tag:16][target:32]
+    /** Last-use stamps; empty when direct-mapped, where a set's only
+     *  entry is always the victim. */
     std::vector<std::uint64_t> lru_;
     std::uint64_t stamp_ = 0;
     dfi::Counters<BtbStat> counters_;

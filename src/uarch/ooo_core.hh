@@ -223,10 +223,11 @@ class OooCore
 
     /**
      * Attach (or detach with nullptr) the liveness sink.  Not owned.
-     * Copies of the core carry the pointer, so attach it only to a
-     * core that is not copied while the sink is attached.
+     * Like an array's access observer it taps the live core only:
+     * copies (checkpoints, snapshots) start without one, so a core
+     * may be snapshotted while a trace is attached.
      */
-    void setLivenessSink(LivenessSink *sink) { livenessSink_ = sink; }
+    void setLivenessSink(LivenessSink *sink) { livenessSink_.sink = sink; }
 
     /**
      * Conservative upper bound on the bytes a checkpoint copy of this
@@ -321,8 +322,8 @@ class OooCore
     void
     noteLive(dfi::StructureId id, int entry) const
     {
-        if (livenessSink_ != nullptr)
-            livenessSink_->onLivenessChange(
+        if (livenessSink_.sink != nullptr)
+            livenessSink_.sink->onLivenessChange(
                 id, static_cast<std::uint32_t>(entry));
     }
     /** The structure lqBusy_ guards: the unified LSQ or the LQ. */
@@ -386,8 +387,27 @@ class OooCore
     // Stall bookkeeping.
     std::uint64_t frontendStallUntil_ = 0;
 
-    // Not state: null except while a golden trace is being built.
-    LivenessSink *livenessSink_ = nullptr;
+    /**
+     * Not state: null except while a golden trace is being built.
+     * Copying yields null and moving transfers the tap, as
+     * FaultableArray does with its observer.
+     */
+    struct SinkSlot
+    {
+        LivenessSink *sink = nullptr;
+
+        SinkSlot() = default;
+        SinkSlot(const SinkSlot &) {}
+        SinkSlot &
+        operator=(const SinkSlot &)
+        {
+            sink = nullptr;
+            return *this;
+        }
+        SinkSlot(SinkSlot &&) = default;
+        SinkSlot &operator=(SinkSlot &&) = default;
+    };
+    SinkSlot livenessSink_;
 };
 
 } // namespace dfi::uarch

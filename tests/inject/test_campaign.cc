@@ -655,6 +655,41 @@ TEST(CampaignConfigValidate, ShardBounds)
     EXPECT_EQ(cfg.validate()[0].field, "shard");
 }
 
+/**
+ * No run count plans more than kMaxCampaignRuns runs: validate()
+ * refuses a larger explicit count, and planning a larger count
+ * derived from the sampling parameters is a fatal() error before any
+ * mask is drawn.  The largest figure cell's 50,000 stays legal.
+ */
+TEST(CampaignConfigValidate, RunCountsAreBounded)
+{
+    CampaignConfig cfg = microConfig("marss-x86", "int_regfile");
+    for (const std::uint64_t legal : {std::uint64_t{50'000},
+                                      kMaxCampaignRuns}) {
+        cfg.numInjections = legal;
+        EXPECT_TRUE(cfg.validate().empty()) << legal;
+    }
+    for (const std::uint64_t refused :
+         {kMaxCampaignRuns + 1, std::uint64_t{4'000'000'000}}) {
+        cfg.numInjections = refused;
+        const std::vector<ConfigError> errors = cfg.validate();
+        ASSERT_EQ(errors.size(), 1u) << refused;
+        EXPECT_EQ(errors[0].field, "injections");
+    }
+
+    cfg.numInjections = 0;
+    cfg.margin = 0.0001;
+    ASSERT_TRUE(cfg.validate().empty());
+    try {
+        InjectionCampaign(cfg).planSummary();
+        ADD_FAILURE() << "a derived count above the cap was planned";
+    } catch (const dfi::FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("cap 4000000"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(CampaignConfigValidate, CampaignRefusesInvalidConfig)
 {
     CampaignConfig cfg = microConfig("marss-x86", "int_regfile");

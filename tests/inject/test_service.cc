@@ -23,6 +23,7 @@
 #include "common/serial.hh"
 #include "inject/campaign.hh"
 #include "inject/service.hh"
+#include "inject/target.hh"
 #include "uarch/core_config.hh"
 #include "uarch/ooo_core.hh"
 
@@ -475,13 +476,15 @@ TEST(PreparedCampaign, AdoptedPreparationReproducesColdRun)
 
 /**
  * Single flight per component: racing requests for one component's
- * trace share one build and one object; another component gets its
- * own trace.
+ * trace share one pass and one object, and that pass also captures
+ * the restore store; another component gets its own trace from a
+ * pass of its own.
  */
 TEST(PreparedCampaign, TraceBuiltOncePerComponentUnderConcurrency)
 {
     const std::shared_ptr<const PreparedCampaign> prep =
         InjectionCampaign(smokeConfig()).prepared();
+    EXPECT_EQ(prep->passes(), 1u);
     std::vector<std::shared_ptr<const GoldenTrace>> traces(4);
     std::vector<std::thread> threads;
     for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -496,13 +499,230 @@ TEST(PreparedCampaign, TraceBuiltOncePerComponentUnderConcurrency)
         EXPECT_EQ(trace, traces[0]);
     }
     EXPECT_EQ(prep->traceBuilds(), 1u);
+    EXPECT_EQ(prep->refines(), 1u);
+    EXPECT_EQ(prep->passes(), 2u);
 
     const std::shared_ptr<const GoldenTrace> other = prep->trace("l1d");
     EXPECT_NE(other, traces[0]);
     EXPECT_EQ(prep->traceBuilds(), 2u);
+    EXPECT_EQ(prep->refines(), 1u);
+    EXPECT_EQ(prep->passes(), 3u);
     // One golden run, one committed-instructions table.
     EXPECT_EQ(other->committedAfter, traces[0]->committedAfter);
     EXPECT_EQ(prep->trace("int_regfile"), traces[0]);
+    EXPECT_EQ(prep->passes(), 3u);
+}
+
+/** Expect two golden traces to be equal, field by field. */
+void
+expectSameTrace(const GoldenTrace &a, const GoldenTrace &b)
+{
+    EXPECT_EQ(a.terminalCycle, b.terminalCycle);
+    ASSERT_NE(a.committedAfter, nullptr);
+    ASSERT_NE(b.committedAfter, nullptr);
+    EXPECT_EQ(*a.committedAfter, *b.committedAfter);
+    ASSERT_EQ(a.structures.size(), b.structures.size());
+    for (std::size_t i = 0; i < a.structures.size(); ++i) {
+        const StructureTrace &x = a.structures[i];
+        const StructureTrace &y = b.structures[i];
+        SCOPED_TRACE(dfi::structureName(x.structure));
+        EXPECT_EQ(x.structure, y.structure);
+        EXPECT_EQ(x.accessBegin, y.accessBegin);
+        ASSERT_EQ(x.accesses.size(), y.accesses.size());
+        for (std::size_t k = 0; k < x.accesses.size(); ++k) {
+            EXPECT_EQ(x.accesses[k].cycle, y.accesses[k].cycle);
+            EXPECT_EQ(x.accesses[k].bitLo, y.accesses[k].bitLo);
+            EXPECT_EQ(x.accesses[k].widthWrite, y.accesses[k].widthWrite);
+        }
+        EXPECT_EQ(x.liveAtStart, y.liveAtStart);
+        EXPECT_EQ(x.changeBegin, y.changeBegin);
+        EXPECT_EQ(x.changes, y.changes);
+    }
+}
+
+/** The components Figs. 2-6 study. */
+const std::vector<std::string> kFigureComponents = {"int_regfile", "l1d",
+                                                    "l1i", "l2", "lsq"};
+
+/**
+ * One pass over the five figure components records, for each, the
+ * trace a pass over that component alone records, on every core
+ * model; the pass also captures the restore store.
+ */
+TEST(PreparedCampaign, OnePassTracesEqualSeparateTraces)
+{
+    for (const char *core : {"marss-x86", "gem5-x86", "gem5-arm"}) {
+        SCOPED_TRACE(core);
+        CampaignConfig cfg = smokeConfig();
+        cfg.coreName = core;
+        const std::shared_ptr<const PreparedCampaign> prep =
+            InjectionCampaign(cfg).prepared();
+        prep->buildTraces(kFigureComponents);
+        EXPECT_EQ(prep->passes(), 2u);
+        EXPECT_EQ(prep->traceBuilds(), kFigureComponents.size());
+        EXPECT_EQ(prep->refines(), 1u);
+        for (const std::string &component : kFigureComponents) {
+            SCOPED_TRACE(component);
+            uarch::OooCore probe = prep->checkpoints.sourceFor(0);
+            const GoldenTrace alone = traceGoldenRun(
+                probe, prep->golden, resolveComponent(component, probe));
+            expectSameTrace(*prep->trace(component), alone);
+        }
+        EXPECT_EQ(prep->passes(), 2u);
+    }
+}
+
+/**
+ * Components asked to ride along are traced only by a pass that runs
+ * anyway: with the asked component built, nothing runs; with it
+ * missing, one pass traces it and the others, and captures the store.
+ */
+TEST(PreparedCampaign, TraceAheadRidesOnlyOnANeededPass)
+{
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(smokeConfig()).prepared();
+    prep->buildTraces({}, kFigureComponents);
+    EXPECT_EQ(prep->passes(), 1u);
+    EXPECT_EQ(prep->traceBuilds(), 0u);
+    EXPECT_EQ(prep->refines(), 0u);
+
+    prep->buildTraces({"l2"}, kFigureComponents);
+    EXPECT_EQ(prep->passes(), 2u);
+    EXPECT_EQ(prep->traceBuilds(), kFigureComponents.size());
+    EXPECT_EQ(prep->refines(), 1u);
+
+    prep->buildTraces({"lsq"}, {"fp_regfile"});
+    EXPECT_EQ(prep->passes(), 2u);
+    EXPECT_EQ(prep->traceBuilds(), kFigureComponents.size());
+}
+
+/**
+ * A component the core lacks traces to no structure and no
+ * committed-instructions table; the next pass's traces still share
+ * one table, charged once.
+ */
+TEST(PreparedCampaign, AComponentTheCoreLacksTracesEmpty)
+{
+    CampaignConfig cfg = smokeConfig();
+    cfg.coreName = "gem5-x86";
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(cfg).prepared();
+    const std::shared_ptr<const GoldenTrace> none =
+        prep->trace("prefetchers");
+    EXPECT_TRUE(none->structures.empty());
+    EXPECT_EQ(none->committedAfter, nullptr);
+    EXPECT_EQ(prep->traceBytes(), none->structureBytes());
+
+    prep->buildTraces({"l1d", "l2"});
+    const std::shared_ptr<const GoldenTrace> l1d = prep->trace("l1d");
+    const std::shared_ptr<const GoldenTrace> l2 = prep->trace("l2");
+    ASSERT_NE(l1d->committedAfter, nullptr);
+    EXPECT_EQ(l2->committedAfter, l1d->committedAfter);
+    EXPECT_EQ(prep->traceBytes(),
+              none->structureBytes() +
+                  l1d->committedAfter->size() * sizeof(std::uint32_t) +
+                  l1d->structureBytes() + l2->structureBytes());
+    EXPECT_EQ(prep->passes(), 3u);
+}
+
+/**
+ * A checkpoint policy that keeps only the base snapshot needs no
+ * pass for its store, so a trace pass does not capture one; the
+ * store refined() then builds holds the base snapshot alone.
+ */
+TEST(PreparedCampaign, NoStoreRidesATracePassWithoutCheckpoints)
+{
+    CampaignConfig cfg = smokeConfig();
+    cfg.useCheckpoints = false;
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(cfg).prepared();
+    prep->trace("int_regfile");
+    EXPECT_EQ(prep->passes(), 2u);
+    EXPECT_EQ(prep->refines(), 0u);
+    EXPECT_EQ(prep->refined()->count(), 1u);
+    EXPECT_EQ(prep->refines(), 1u);
+    EXPECT_EQ(prep->passes(), 2u);
+}
+
+/**
+ * A caller that needs only what is built returns at once, while a
+ * pass over other components is still running on the same state.
+ */
+TEST(PreparedCampaign, BuiltTraceReturnsWhileAPassIsInFlight)
+{
+    CampaignConfig cfg = smokeConfig();
+    cfg.coreName = "gem5-arm";
+    cfg.benchmark = "sha";
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(cfg).prepared();
+    const std::shared_ptr<const GoldenTrace> built =
+        prep->trace("int_regfile");
+    const std::shared_ptr<const CheckpointStore> store = prep->refined();
+    ASSERT_EQ(prep->passes(), 2u);
+
+    // Every other component, in one long pass.
+    std::vector<std::string> others;
+    for (const std::string &component : componentNames()) {
+        if (component != "int_regfile")
+            others.push_back(component);
+    }
+    std::thread pass([&prep, &others] { prep->buildTraces(others); });
+    while (prep->passesInFlight() == 0 && prep->passes() == 2)
+        std::this_thread::yield();
+    EXPECT_EQ(prep->trace("int_regfile"), built);
+    EXPECT_EQ(prep->refined(), store);
+    // Both returned before the pass published.
+    EXPECT_EQ(prep->passesInFlight(), 1u);
+    EXPECT_EQ(prep->passes(), 2u);
+    pass.join();
+    EXPECT_EQ(prep->passesInFlight(), 0u);
+    EXPECT_EQ(prep->passes(), 3u);
+    EXPECT_EQ(prep->traceBuilds(), componentNames().size());
+}
+
+/**
+ * Trace-ahead, single-component traces and the restore store raced on
+ * one prepared state: each is built once, every caller gets the one
+ * object, and no caller runs more than one pass.
+ */
+TEST(PreparedCampaign, OnePassRacesTraceAheadTraceAndRefined)
+{
+    const std::shared_ptr<const PreparedCampaign> prep =
+        InjectionCampaign(smokeConfig()).prepared();
+    const std::vector<std::string> &five = kFigureComponents;
+    std::vector<std::shared_ptr<const GoldenTrace>> traces(five.size());
+    std::vector<std::shared_ptr<const CheckpointStore>> stores(2);
+    std::vector<std::thread> threads;
+    threads.emplace_back(
+        [&prep, &five] { prep->buildTraces({five[0]}, five); });
+    for (std::size_t i = 0; i < five.size(); ++i) {
+        threads.emplace_back([&prep, &traces, &five, i] {
+            traces[i] = prep->trace(five[i]);
+        });
+    }
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+        threads.emplace_back(
+            [&prep, &stores, i] { stores[i] = prep->refined(); });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (std::size_t i = 0; i < five.size(); ++i) {
+        ASSERT_NE(traces[i], nullptr);
+        EXPECT_EQ(traces[i], prep->trace(five[i]));
+        EXPECT_EQ(traces[i]->committedAfter, traces[0]->committedAfter);
+    }
+    ASSERT_NE(stores[0], nullptr);
+    EXPECT_EQ(stores[1], stores[0]);
+    EXPECT_EQ(prep->refined(), stores[0]);
+    EXPECT_EQ(prep->traceBuilds(), five.size());
+    EXPECT_EQ(prep->refines(), 1u);
+    EXPECT_EQ(prep->passesInFlight(), 0u);
+    // prepare()'s pass, then at least one pass and at most one per
+    // component and one for the store alone, whichever order the
+    // callers claimed them in.
+    EXPECT_GE(prep->passes(), 2u);
+    EXPECT_LE(prep->passes(), 1u + five.size() + 1u);
 }
 
 /** FNV-1a of every page the core's page walk reports, in order. */
@@ -548,40 +768,49 @@ expectSameCore(const uarch::OooCore &a, const uarch::OooCore &b)
  * The store runs restore from is the golden run replayed: it holds
  * exactly the snapshots a golden pass the test observes itself under
  * the same policy and run length captures, each the same state, while
- * the prepared state keeps only the base one.
+ * the prepared state keeps only the base one.  That holds for a pass
+ * that captures the store alone and for a pass that also traces the
+ * five figure components: the taps never reach a snapshot.
  */
 TEST(PreparedCampaign, RefinedSnapshotsEqualAnObservedGoldenPass)
 {
     const CampaignConfig cfg = smokeConfig();
-    const std::shared_ptr<const PreparedCampaign> prep =
-        InjectionCampaign(cfg).prepared();
-    EXPECT_EQ(prep->checkpoints.count(), 1u);
-    const std::shared_ptr<const CheckpointStore> refined =
-        prep->refined();
-    ASSERT_NE(refined, nullptr);
-    EXPECT_EQ(prep->refinedBytes(), refined->heldBytes());
-
     uarch::CoreConfig core_cfg = uarch::coreConfigByName(cfg.coreName);
     uarch::scaleCaches(core_cfg, cfg.cacheScale);
-    uarch::OooCore core(core_cfg, prep->image);
-    CheckpointStore observed(prep->checkpoints.policy(),
-                             prep->golden.cycles);
-    observed.captureBase(core);
-    while (core.tick())
-        observed.observe(core);
-    ASSERT_EQ(core.cycle(), prep->golden.cycles);
+    for (const bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "trace pass" : "store-only pass");
+        const std::shared_ptr<const PreparedCampaign> prep =
+            InjectionCampaign(cfg).prepared();
+        EXPECT_EQ(prep->checkpoints.count(), 1u);
+        if (traced)
+            prep->buildTraces(kFigureComponents);
+        const std::shared_ptr<const CheckpointStore> refined =
+            prep->refined();
+        ASSERT_NE(refined, nullptr);
+        EXPECT_EQ(prep->passes(), 2u);
+        EXPECT_EQ(prep->refinedBytes(), refined->heldBytes());
 
-    ASSERT_GT(observed.count(), 1u);
-    ASSERT_EQ(refined->cycles(), observed.cycles());
-    EXPECT_EQ(refined->snapshotBoundBytes(), observed.snapshotBoundBytes());
-    for (const std::uint64_t cycle : observed.cycles()) {
-        // sourceFor(c + 1) is the snapshot taken at c.
-        const uarch::OooCore &a = observed.sourceFor(cycle + 1);
-        const uarch::OooCore &b = refined->sourceFor(cycle + 1);
-        ASSERT_EQ(a.cycle(), cycle);
-        ASSERT_EQ(b.cycle(), cycle);
-        SCOPED_TRACE("cycle " + std::to_string(cycle));
-        expectSameCore(a, b);
+        uarch::OooCore core(core_cfg, prep->image);
+        CheckpointStore observed(prep->checkpoints.policy(),
+                                 prep->golden.cycles);
+        observed.captureBase(core);
+        while (core.tick())
+            observed.observe(core);
+        ASSERT_EQ(core.cycle(), prep->golden.cycles);
+
+        ASSERT_GT(observed.count(), 1u);
+        ASSERT_EQ(refined->cycles(), observed.cycles());
+        EXPECT_EQ(refined->snapshotBoundBytes(),
+                  observed.snapshotBoundBytes());
+        for (const std::uint64_t cycle : observed.cycles()) {
+            // sourceFor(c + 1) is the snapshot taken at c.
+            const uarch::OooCore &a = observed.sourceFor(cycle + 1);
+            const uarch::OooCore &b = refined->sourceFor(cycle + 1);
+            ASSERT_EQ(a.cycle(), cycle);
+            ASSERT_EQ(b.cycle(), cycle);
+            SCOPED_TRACE("cycle " + std::to_string(cycle));
+            expectSameCore(a, b);
+        }
     }
 }
 
@@ -637,9 +866,11 @@ TEST(PreparedCampaign, DenseStoreBuiltOnceUnderConcurrentRuns)
 }
 
 /**
- * The dense store costs a golden replay, so nothing builds it that
- * will not restore from it: a plan the pruner fully classified, a
- * campaign without checkpoints, and a dry run.
+ * A pass that replays the golden run for the dense store alone runs
+ * only for a campaign that will restore from it: a campaign without
+ * checkpoints and an unpruned dry run tick nothing past prepare().  A
+ * pruned plan, even one the pruner fully classified, gets the store
+ * from the pass that builds its trace, at no extra pass.
  */
 TEST(PreparedCampaign, NoDenseStoreWithoutASimulatedRun)
 {
@@ -649,7 +880,8 @@ TEST(PreparedCampaign, NoDenseStoreWithoutASimulatedRun)
     InjectionCampaign all_pruned(pruned);
     const CampaignResult result = all_pruned.run();
     ASSERT_TRUE(result.records.empty());
-    EXPECT_EQ(all_pruned.prepared()->refines(), 0u);
+    EXPECT_EQ(all_pruned.prepared()->refines(), 1u);
+    EXPECT_EQ(all_pruned.prepared()->passes(), 2u);
 
     CampaignConfig off = smokeConfig();
     off.prune = false;
@@ -657,12 +889,33 @@ TEST(PreparedCampaign, NoDenseStoreWithoutASimulatedRun)
     InjectionCampaign no_checkpoints(off);
     ASSERT_FALSE(no_checkpoints.run().records.empty());
     EXPECT_EQ(no_checkpoints.prepared()->refines(), 0u);
+    EXPECT_EQ(no_checkpoints.prepared()->passes(), 1u);
 
     CampaignConfig dry = smokeConfig();
     dry.prune = false;
     InjectionCampaign dry_run(dry);
     ASSERT_GT(dry_run.planSummary().executed, 0u);
     EXPECT_EQ(dry_run.prepared()->refines(), 0u);
+    EXPECT_EQ(dry_run.prepared()->passes(), 1u);
+}
+
+/**
+ * A campaign that simulates runs two golden passes, pruned or not:
+ * prepare()'s, and one that captures the restore store (and, pruned,
+ * traces the component in the same ticks).
+ */
+TEST(PreparedCampaign, ASimulatingCampaignRunsTwoPasses)
+{
+    for (const bool prune : {true, false}) {
+        SCOPED_TRACE(prune ? "pruned" : "unpruned");
+        CampaignConfig cfg = smokeConfig();
+        cfg.prune = prune;
+        InjectionCampaign campaign(cfg);
+        ASSERT_FALSE(campaign.run().records.empty());
+        EXPECT_EQ(campaign.prepared()->passes(), 2u);
+        EXPECT_EQ(campaign.prepared()->refines(), 1u);
+        EXPECT_EQ(campaign.prepared()->traceBuilds(), prune ? 1u : 0u);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -750,12 +1003,12 @@ TEST(Service, LruEvictsColdestEntryWhenOverBudget)
 }
 
 /**
- * A served entry is charged its golden trace and its dense checkpoint
- * store: after a pruned request that simulates a run, the entry costs
- * the preparation plus both, and a budget that would hold two
- * preparations but not a preparation, its trace, its dense store and
- * a second preparation evicts the first when the second program
- * arrives.
+ * A served entry is charged its base snapshot at what it holds, and
+ * its golden traces and its dense checkpoint store: after a pruned
+ * request that simulates a run, the entry costs the preparation plus
+ * both, and a budget that would hold two preparations but not a
+ * preparation, its trace, its dense store and a second preparation
+ * evicts the first when the second program arrives.
  */
 TEST(Service, TraceBytesAreChargedToTheBudget)
 {
@@ -766,8 +1019,20 @@ TEST(Service, TraceBytesAreChargedToTheBudget)
     b.config.checkpointMemBudgetMB = 255; // same shape, own prepKey
     ASSERT_NE(a.config.prepKey(), b.config.prepKey());
 
-    const std::uint64_t untraced =
-        InjectionCampaign(a.config).prepared()->approxBytes();
+    // The base snapshot is charged at the bytes it holds, far below
+    // the per-snapshot bound the budget cap is computed from.
+    const std::shared_ptr<const PreparedCampaign> fresh =
+        InjectionCampaign(a.config).prepared();
+    EXPECT_EQ(fresh->baseBytes, fresh->checkpoints.heldBytes());
+    EXPECT_LT(fresh->baseBytes * 4,
+              fresh->checkpoints.snapshotBoundBytes());
+    const std::uint64_t untraced = fresh->approxBytes();
+    EXPECT_EQ(untraced, sizeof(PreparedCampaign) +
+                            fresh->image.code.size() +
+                            fresh->image.data.size() +
+                            fresh->expectedOutput.size() +
+                            fresh->golden.output.size() +
+                            fresh->baseBytes);
     CampaignService sizing({});
     ASSERT_TRUE(sizing.execute(a).ok);
     const CampaignService::CacheStats sized = sizing.cacheStats();
@@ -775,22 +1040,29 @@ TEST(Service, TraceBytesAreChargedToTheBudget)
     ASSERT_GT(sized.traceBytes, 0u);
     EXPECT_EQ(sized.refines, 1u);
     ASSERT_GT(sized.refinedBytes, 0u);
+    EXPECT_EQ(sized.passes, 2u);
     EXPECT_EQ(sized.bytes,
               untraced + sized.traceBytes + sized.refinedBytes);
 
     // A sweep on the cached program reuses the trace of its
-    // component and builds one for a new component.
+    // component, at no pass, and a pass builds one for a new
+    // component.
     ServiceRequest sweep = a;
     sweep.config.seed = 8;
     ASSERT_TRUE(sizing.execute(sweep).ok);
     EXPECT_EQ(sizing.cacheStats().traceBuilds, 1u);
+    EXPECT_EQ(sizing.cacheStats().passes, 2u);
     sweep.config.component = "l1d";
     ASSERT_TRUE(sizing.execute(sweep).ok);
     EXPECT_EQ(sizing.cacheStats().traceBuilds, 2u);
-    EXPECT_GT(sizing.cacheStats().traceBytes, sized.traceBytes);
+    EXPECT_EQ(sizing.cacheStats().passes, 3u);
+    const std::uint64_t two_traced = sizing.cacheStats().traceBytes;
+    EXPECT_GT(two_traced, sized.traceBytes);
     // One dense store serves every request on the program.
     EXPECT_EQ(sizing.cacheStats().refines, 1u);
     EXPECT_EQ(sizing.cacheStats().refinedBytes, sized.refinedBytes);
+    EXPECT_EQ(sizing.cacheStats().bytes,
+              untraced + two_traced + sized.refinedBytes);
 
     CampaignService::Options options;
     options.cacheBudgetBytes =
@@ -847,6 +1119,11 @@ TEST(Service, SweepsOfOneProgramShareOnePrepare)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 9u);
     EXPECT_EQ(stats.entries, 1u);
+    // prepare(), and one pass for each component, the first to ask
+    // for it; the first pass also captures the store.
+    EXPECT_EQ(stats.passes, 6u);
+    EXPECT_EQ(stats.traceBuilds, 5u);
+    EXPECT_EQ(stats.refines, 1u);
 }
 
 TEST(Service, ExecuteReportsInvalidConfigInsteadOfThrowing)
@@ -858,6 +1135,23 @@ TEST(Service, ExecuteReportsInvalidConfigInsteadOfThrowing)
     const ServiceResponse response = service.execute(request);
     EXPECT_FALSE(response.ok);
     EXPECT_FALSE(response.error.empty());
+}
+
+/** A run count past the cap is refused before anything is prepared. */
+TEST(Service, ExecuteRefusesARunCountPastTheCapBeforePreparing)
+{
+    CampaignService service({});
+    ServiceRequest request;
+    request.config = smokeConfig();
+    request.config.numInjections = 4'000'000'000;
+    const ServiceResponse response = service.execute(request);
+    EXPECT_FALSE(response.ok);
+    EXPECT_FALSE(response.retryable);
+    EXPECT_NE(response.error.find("config: injections"),
+              std::string::npos)
+        << response.error;
+    EXPECT_EQ(service.cacheStats().misses, 0u);
+    EXPECT_EQ(service.cacheStats().entries, 0u);
 }
 
 TEST(Service, QueuedRequestsAllCompleteAcrossThreads)
@@ -930,6 +1224,7 @@ TEST(Service, StatsJsonCarriesCacheAndQueueCounters)
     EXPECT_EQ(stats.get("cache").get("response_hits").asUint(), 0u);
     EXPECT_EQ(stats.get("cache").get("refines").asUint(), 0u);
     EXPECT_EQ(stats.get("cache").get("refined_bytes").asUint(), 0u);
+    EXPECT_EQ(stats.get("cache").get("passes").asUint(), 0u);
     EXPECT_EQ(stats.get("queue").get("capacity").asUint(), 64u);
     EXPECT_EQ(stats.get("queue").get("workers").asUint(), 3u);
     EXPECT_EQ(stats.get("queue").get("running").asUint(), 0u);
@@ -1256,6 +1551,34 @@ editedArchive(const PreparedCampaign &prep, Edit edit)
     return writer.buffer();
 }
 
+/**
+ * A failed pass ends its claims: on a state whose golden record is
+ * one cycle too long every pass fails with a fatal() error, and each
+ * later caller gets the error from a pass of its own instead of
+ * waiting on a claim no pass holds.
+ */
+TEST(PreparedCampaign, AFailedPassLeavesItsClaimsToTheNextCaller)
+{
+    const CampaignConfig cfg = smokeConfig();
+    const std::string archive =
+        editedArchive(*InjectionCampaign(cfg).prepared(),
+                      [](PreparedCampaign &p) { ++p.golden.cycles; });
+    serial::Reader reader(archive);
+    std::string error;
+    const std::shared_ptr<const PreparedCampaign> prep =
+        loadPreparedCampaign(cfg, reader, error);
+    ASSERT_NE(prep, nullptr) << error;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        EXPECT_THROW(prep->trace("int_regfile"), dfi::FatalError);
+        EXPECT_THROW(prep->refined(), dfi::FatalError);
+    }
+    EXPECT_TRUE(prep->bad());
+    EXPECT_EQ(prep->passesInFlight(), 0u);
+    EXPECT_EQ(prep->passes(), 0u);
+    EXPECT_EQ(prep->traceBuilds(), 0u);
+    EXPECT_EQ(prep->refines(), 0u);
+}
+
 // ---------------------------------------------------------------
 // Restart-persistent disk cache
 // ---------------------------------------------------------------
@@ -1369,6 +1692,69 @@ TEST(ServiceDisk, RestartServesAnotherStructureFromTheSpill)
     EXPECT_EQ(cold.cacheSource, "none");
     EXPECT_EQ(warm.telemetryRuns, cold.telemetryRuns);
     EXPECT_EQ(warm.telemetrySummary, cold.telemetrySummary);
+
+    std::filesystem::remove_all(options.cacheDir);
+}
+
+/**
+ * After a restart, a sweep of the five figure components over three
+ * spilled programs, one program at a time, runs seven golden passes
+ * where tracing each component in a pass of its own and capturing
+ * each store in another ran eighteen.  The first program's sweep asks
+ * for one new component per request, so it runs five passes; the
+ * first request on each later program, a disk hit, traces all five
+ * and captures the store in one pass.  A cold program swept after
+ * them costs its prepare() and one pass.
+ */
+TEST(ServiceDisk, SweptComponentsRideOnePassPerLaterProgram)
+{
+    CampaignService::Options options;
+    options.cacheDir = freshCacheDir("dfi-service-one-pass-cache");
+    std::vector<ServiceRequest> primes;
+    for (const char *core : {"marss-x86", "gem5-x86", "gem5-arm"}) {
+        ServiceRequest prime;
+        prime.config = smokeConfig();
+        prime.config.coreName = core;
+        prime.config.numInjections = 8;
+        primes.push_back(prime);
+    }
+    {
+        CampaignService primer(options);
+        for (const ServiceRequest &prime : primes)
+            ASSERT_TRUE(primer.execute(prime).ok);
+        EXPECT_EQ(primer.cacheStats().passes, 2u * primes.size());
+    }
+
+    CampaignService restarted(options);
+    ServiceRequest cold = primes[0];
+    cold.config.checkpointMemBudgetMB = 255; // own prepKey, not spilled
+    std::vector<ServiceRequest> programs = primes;
+    programs.push_back(cold);
+    const std::vector<std::uint64_t> passes = {5, 1, 1, 2};
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+        SCOPED_TRACE(programs[p].config.coreName + " " +
+                     std::to_string(p));
+        const std::uint64_t before = restarted.cacheStats().passes;
+        bool first = true;
+        for (const std::string &component : kFigureComponents) {
+            ServiceRequest sweep = programs[p];
+            sweep.config.component = component;
+            sweep.config.seed = 9 + p; // no response memo hit
+            const ServiceResponse response = restarted.execute(sweep);
+            ASSERT_TRUE(response.ok) << response.error;
+            EXPECT_EQ(response.cacheSource,
+                      !first ? "memory" : p < primes.size() ? "disk" : "none")
+                << component;
+            first = false;
+        }
+        EXPECT_EQ(restarted.cacheStats().passes - before, passes[p]);
+    }
+    const CampaignService::CacheStats stats = restarted.cacheStats();
+    EXPECT_EQ(stats.passes, 9u);
+    EXPECT_EQ(stats.traceBuilds, 5u * programs.size());
+    EXPECT_EQ(stats.refines, programs.size());
+    EXPECT_EQ(restarted.statsJson().get("cache").get("passes").asUint(),
+              9u);
 
     std::filesystem::remove_all(options.cacheDir);
 }
@@ -1596,7 +1982,7 @@ TEST(ServiceDisk, TamperedSpillIsAColdMissOrAnErrorResponse)
         const ServiceResponse failed = service.execute(unpruned);
         EXPECT_FALSE(failed.ok);
         EXPECT_EQ(failed.cacheSource, "disk");
-        EXPECT_NE(failed.error.find("checkpoint replay ended at cycle"),
+        EXPECT_NE(failed.error.find("diverged from the golden run"),
                   std::string::npos)
             << failed.error;
         EXPECT_EQ(service.cacheStats().dropped, 1u);

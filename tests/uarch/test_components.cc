@@ -139,6 +139,28 @@ TEST(Btb, DirectMappedConflicts)
     EXPECT_EQ(btb.lookup(0x1000 + 32), 0xbbbbu);
 }
 
+/**
+ * A direct-mapped BTB keeps no LRU book (its victim is a set's only
+ * entry), so a copy holds 8 bytes per entry less; a set-associative
+ * one keeps its book and still evicts the least recently used way.
+ */
+TEST(Btb, DirectMappedKeepsNoLruBook)
+{
+    EXPECT_EQ(Btb(BtbConfig{"btb", 2048, 1}).heapBytes(), 0u);
+    EXPECT_EQ(Btb(BtbConfig{"btb", 2048, 2}).heapBytes(), 2048u * 8);
+
+    // Two sets of two ways: pcs 0x1000, 0x1004 and 0x1008 share set 0
+    // ((pc >> 1) & 1 == 0) with distinct tags.
+    Btb btb(BtbConfig{"btb", 4, 2});
+    btb.update(0x1000, 0xa);
+    btb.update(0x1004, 0xb);
+    EXPECT_EQ(btb.lookup(0x1000), 0xau); // 0x1004 is now LRU
+    btb.update(0x1008, 0xc);
+    EXPECT_EQ(btb.lookup(0x1000), 0xau);
+    EXPECT_EQ(btb.lookup(0x1004), 0u);
+    EXPECT_EQ(btb.lookup(0x1008), 0xcu);
+}
+
 TEST(Btb, TargetFaultRedirects)
 {
     Btb btb(BtbConfig{"btb", 64, 4});

@@ -80,6 +80,22 @@ INSTANTIATE_TEST_SUITE_P(
                }(std::get<1>(info.param));
     });
 
+/** Counts the liveness reports a core sends it. */
+struct CountingSink final : LivenessSink
+{
+    std::uint64_t reports = 0;
+
+    void
+    onLivenessChange(dfi::StructureId, std::uint32_t) override
+    {
+        ++reports;
+    }
+};
+
+/**
+ * A checkpoint copy continues exactly as its source does, and leaves
+ * the source's liveness sink behind: only the traced core reports.
+ */
 TEST(Core, CheckpointCopyContinuesIdentically)
 {
     const auto bench = prog::buildBenchmark("micro");
@@ -88,12 +104,18 @@ TEST(Core, CheckpointCopyContinuesIdentically)
     const auto image = ir::compileModule(bench.module, cfg.isa);
 
     OooCore original(cfg, image);
+    CountingSink sink;
+    original.setLivenessSink(&sink);
     for (int i = 0; i < 700; ++i)
         original.tick();
     OooCore copy = original; // checkpoint
+    const std::uint64_t before_copy_ran = sink.reports;
+    ASSERT_GT(before_copy_ran, 0u);
 
-    const auto a = runToEnd(original);
     const auto b = runToEnd(copy);
+    EXPECT_EQ(sink.reports, before_copy_ran);
+    const auto a = runToEnd(original);
+    EXPECT_GT(sink.reports, before_copy_ran);
     EXPECT_EQ(a.term, b.term);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.output, b.output);

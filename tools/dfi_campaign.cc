@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,7 @@ decodeShard(const std::string &text, ShardSpec &out,
 
 int
 main(int argc, char **argv)
-{
+try {
     CampaignConfig cfg;
     cfg.jobs = 0; // batch front end: all hardware threads by default
     ParserConfig parser_cfg;
@@ -289,4 +290,8 @@ main(int argc, char **argv)
     } catch (const dfi::FatalError &err) {
         die(err.what());
     }
+} catch (const std::bad_alloc &) {
+    // An allocation no bound refused is an error exit, not an abort.
+    std::fputs("dfi-campaign: out of memory\n", stderr);
+    return 2;
 }

@@ -25,6 +25,7 @@
  */
 
 #include <cstdio>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ namespace cli = dfi::cli;
 
 int
 main(int argc, char **argv)
-{
+try {
     DiffOptions options;
     std::vector<std::string> paths;
 
@@ -108,4 +109,8 @@ main(int argc, char **argv)
         break;
     }
     return static_cast<int>(outcome);
+} catch (const std::bad_alloc &) {
+    // An allocation no bound refused is an error exit, not an abort.
+    std::fputs("dfi-diff: out of memory\n", stderr);
+    return 2;
 }

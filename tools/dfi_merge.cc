@@ -23,6 +23,7 @@
  */
 
 #include <cstdio>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,7 @@ namespace cli = dfi::cli;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string out_base;
     std::vector<std::string> paths;
 
@@ -94,4 +95,8 @@ main(int argc, char **argv)
                 paths.size(), paths.size() == 1 ? "" : "s",
                 out_base.c_str(), out_base.c_str());
     return 0;
+} catch (const std::bad_alloc &) {
+    // An allocation no bound refused is an error exit, not an abort.
+    std::fputs("dfi-merge: out of memory\n", stderr);
+    return 2;
 }

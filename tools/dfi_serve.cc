@@ -41,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 
 #include "common/cli.hh"
@@ -69,7 +70,7 @@ Server *g_server = nullptr;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string socket_path;
     std::string connect_path;
     std::string telemetry_out;
@@ -295,4 +296,8 @@ main(int argc, char **argv)
     std::printf("vulnerability (non-masked): %.2f%%\n",
                 response.vulnerability);
     return 0;
+} catch (const std::bad_alloc &) {
+    // An allocation no bound refused is an error exit, not an abort.
+    std::fputs("dfi-serve: out of memory\n", stderr);
+    return 2;
 }
