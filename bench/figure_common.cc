@@ -9,6 +9,7 @@
 
 #include "common/config.hh"
 #include "inject/campaign.hh"
+#include "inject/executor.hh"
 #include "prog/benchmark.hh"
 #include "uarch/core_config.hh"
 
@@ -57,27 +58,40 @@ runFigure(const std::string &figure_title, const std::string &component)
     const auto benchmarks = selectedBenchmarks();
 
     inject::FigureReport report(figure_title, setupNames());
-    inject::Parser parser;
+    const inject::Parser parser;
 
-    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::pair<std::string, std::string>> cells;
     for (const std::string &bench : benchmarks) {
-        for (const std::string &setup : setupNames()) {
+        for (const std::string &setup : setupNames())
+            cells.emplace_back(bench, setup);
+    }
+
+    // All cells are one batch: a cell's serial phases (prepare, the
+    // golden pass) overlap other cells' runs, and its own runs spread
+    // over whatever threads the other cells leave idle.
+    std::vector<inject::ClassCounts> counts(cells.size());
+    const auto start = std::chrono::steady_clock::now();
+    inject::runBatch(
+        cells.size(), inject::resolveJobs(jobs),
+        [&](std::size_t i) {
             inject::CampaignConfig cfg;
             cfg.component = component;
-            cfg.benchmark = bench;
-            cfg.coreName = setupToCore(setup);
+            cfg.benchmark = cells[i].first;
+            cfg.coreName = setupToCore(cells[i].second);
             cfg.numInjections = injections;
             cfg.seed = seed;
             cfg.jobs = jobs; // 0 = hardware concurrency
             cfg.prune = prune;
-            inject::InjectionCampaign campaign(cfg);
-            const auto result = campaign.run();
-            report.add(bench, setup, result.classify(parser));
+            counts[i] = inject::InjectionCampaign(cfg).run().classify(
+                parser);
+        },
+        [&](std::size_t i) {
             std::fprintf(stderr, "  [%s] %s/%s done\n",
-                         component.c_str(), bench.c_str(),
-                         setup.c_str());
-        }
-    }
+                         component.c_str(), cells[i].first.c_str(),
+                         cells[i].second.c_str());
+        });
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        report.add(cells[i].first, cells[i].second, counts[i]);
     const auto end = std::chrono::steady_clock::now();
     std::fprintf(
         stderr, "campaign wall time: %.1fs (%lu injections/cell)\n",

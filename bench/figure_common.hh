@@ -12,9 +12,10 @@
  *                    the paper used 2000)
  *   DFI_BENCHMARKS   comma-separated subset of benchmark names
  *   DFI_SEED         campaign seed (default 0x5eed)
- *   DFI_JOBS         worker threads per campaign (default 0 =
- *                    hardware concurrency; any value reproduces the
- *                    same figures bit-for-bit)
+ *   DFI_JOBS         threads the figure's cells and each cell's
+ *                    runs spread over (default 0 = hardware
+ *                    concurrency, also the most used; any value
+ *                    reproduces the same figures bit-for-bit)
  *   DFI_NO_PRUNE     1 simulates every run instead of pruning
  *                    (scripts/check_figures.sh proves both print the
  *                    same figures)
@@ -42,7 +43,11 @@ setupNames()
     return names;
 }
 
-/** Run the full differential campaign for one component. */
+/**
+ * Run the full differential campaign for one component: every cell
+ * as one batch of the process's task pool, added to the report in
+ * cell order.
+ */
 inject::FigureReport runFigure(const std::string &figure_title,
                                const std::string &component);
 

@@ -38,6 +38,10 @@
 # Usage:
 #   scripts/check_chaos.sh [WORKDIR]
 #
+#   WORKDIR  scratch directory (default: a fresh mktemp -d); its
+#            daemon cache directories are emptied first, so a rerun
+#            on one WORKDIR checks the same cold misses
+#
 # Environment:
 #   DFI_SERVE  dfi-serve binary (default build/tools/...)
 #   DFI_DIFF   dfi-diff binary  (default build/tools/...)
@@ -61,6 +65,9 @@ for bin in "$SERVE_BIN" "$DIFF_BIN"; do
 done
 
 mkdir -p "$WORKDIR"
+# The daemons' cache directories start empty, so a second run on one
+# WORKDIR sees the same cold misses as the first.
+rm -rf "$WORKDIR/cacheA" "$WORKDIR/cacheB"
 
 status=0
 SERVER_PID=""

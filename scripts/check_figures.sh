@@ -8,7 +8,8 @@
 #     (10 programs x 3 setups x 150 seeded runs each, 22,500 runs);
 #   - bench_table1_capabilities .. bench_table4_structures, stdout
 #     and JSON twin;
-#   - bench_ablation_policies at DFI_INJECTIONS=100;
+#   - bench_ablation_policies, bench_earlystop_speedup and
+#     bench_sweep_l1d_geometry at DFI_INJECTIONS=100;
 #   - Figs. 2-6 once more with DFI_NO_PRUNE=1 at DFI_INJECTIONS=150
 #     (the same 22,500 runs, every one simulated): each transcript
 #     against results/, each JSON twin against the pruned run's twin.
@@ -30,8 +31,9 @@
 # Environment:
 #   DFI_BENCH_DIR  directory with the bench binaries
 #                  (default build/bench)
-#   DFI_JOBS       worker threads per campaign (default: hardware
-#                  concurrency; every value prints the same bytes)
+#   DFI_JOBS       threads a figure's cells and each cell's runs
+#                  spread over (default: hardware concurrency, also
+#                  the most used; every value prints the same bytes)
 #
 # Run from the repository root after building:
 #   cmake -B build -S . && cmake --build build -j
@@ -47,7 +49,10 @@ FIGURES=(bench_fig2_regfile bench_fig3_l1d bench_fig4_l1i bench_fig5_l2
 TABLES=(bench_table1_capabilities bench_table2_configs
         bench_table3_fault_models bench_table4_structures)
 
-for bench in "${FIGURES[@]}" "${TABLES[@]}" bench_ablation_policies; do
+SEEDED=(bench_ablation_policies bench_earlystop_speedup
+        bench_sweep_l1d_geometry)
+
+for bench in "${FIGURES[@]}" "${TABLES[@]}" "${SEEDED[@]}"; do
     if [[ ! -x "$BENCH_DIR/$bench" ]]; then
         echo "error: $BENCH_DIR/$bench not found or not executable." >&2
         echo "build first: cmake -B build -S . && cmake --build build -j" >&2
@@ -90,7 +95,9 @@ for bench in "${TABLES[@]}"; do
     run "$bench"
     same "$WORKDIR/$bench.json" "results/$bench.json"
 done
-run bench_ablation_policies 100
+for bench in "${SEEDED[@]}"; do
+    run "$bench" 100
+done
 
 # Pruning is an execution strategy: with it off, every figure must
 # print the same bytes and write the same JSON twin.
@@ -114,6 +121,7 @@ if [[ "$status" -ne 0 ]]; then
          "in the same change." >&2
     exit "$status"
 fi
-echo "OK: 5 figures, 4 tables (+ JSON twins) and the policy ablation" >&2
-echo "    are byte-identical to results/, and the figures are" >&2
+echo "OK: 5 figures, 4 tables (+ JSON twins), the policy ablation," >&2
+echo "    the early-stop speedup and the L1D geometry sweep are" >&2
+echo "    byte-identical to results/, and the figures are" >&2
 echo "    byte-identical pruned and unpruned (22,500 simulated runs)." >&2

@@ -59,7 +59,9 @@
 # Usage:
 #   scripts/check_service.sh [WORKDIR]
 #
-#   WORKDIR  scratch directory (default: a fresh mktemp -d)
+#   WORKDIR  scratch directory (default: a fresh mktemp -d); its
+#            daemon cache directory is emptied first, so a rerun on
+#            one WORKDIR checks the same cold misses
 #
 # Environment:
 #   DFI_SERVE     dfi-serve binary    (default build/tools/...)
@@ -91,6 +93,9 @@ for bin in "$SERVE_BIN" "$DIFF_BIN" "$CAMPAIGN_BIN"; do
 done
 
 mkdir -p "$WORKDIR"
+# The daemons' cache directory starts empty, so a second run on one
+# WORKDIR sees the same cold misses as the first.
+rm -rf "$CACHE_DIR"
 
 status=0
 SERVER_PID=""

@@ -169,6 +169,10 @@ CampaignConfig::validate() const
     if (useCheckpoints && checkpointCount == 0)
         bad("checkpoints", "checkpoint count must be >= 1 when "
                            "checkpointing is enabled");
+    if (checkpointCount > kMaxCheckpoints)
+        bad("checkpoints", "must be <= " +
+                               std::to_string(kMaxCheckpoints) +
+                               " (bounds the restore store)");
     if (checkpointMemBudgetMB > (~0ull >> 20))
         bad("checkpoint_budget_mb",
             "must be < 2^44 (the budget in bytes must fit 64 bits)");
@@ -278,8 +282,8 @@ bindCampaignFlags(cli::FlagSet &flags, CampaignConfig &cfg)
                  "worker threads (default " +
                      std::to_string(cfg.jobs) +
                      "; 0 = hardware\n"
-                     "concurrency; results are bit-identical\n"
-                     "for every N)",
+                     "concurrency, also the most used;\n"
+                     "results are bit-identical for every N)",
                  &cfg.jobs);
     flags.number("--timeout-factor", "F",
                  "run bound vs golden cycles (default 3)",
@@ -939,8 +943,8 @@ InjectionCampaign::run(const Progress &progress)
     if (plan.numRuns() > 0)
         useRefined();
 
-    // Execute on cfg_.jobs workers; the results come back in runId
-    // order for every job count.
+    // Execute on up to cfg_.jobs pool threads; the results come back
+    // in runId order for every job count.
     CampaignReporter reporter(progress, plan.numRuns());
 
     // Telemetry attaches at the reporter's ordered-commit point, so

@@ -25,10 +25,11 @@
  *  - planning  (inject/plan.hh)      resolves config + golden run +
  *    sampling + masks into an immutable CampaignPlan of RunTasks;
  *  - task loop (inject/executor.hh)  runs the tasks on the calling
- *    thread or on CampaignConfig::jobs threads, committing results in
- *    runId order so the output is bit-identical either way;
- *  - reporting (inject/reporting.hh) serialises progress callbacks
- *    and stats aggregation from the workers.
+ *    thread plus up to CampaignConfig::jobs - 1 threads of the
+ *    process's shared pool, committing results in runId order so the
+ *    output is bit-identical either way;
+ *  - reporting (inject/reporting.hh) delivers progress callbacks and
+ *    stats aggregation on the calling thread.
  */
 
 #ifndef DFI_INJECT_CAMPAIGN_HH
@@ -100,6 +101,18 @@ struct ConfigError
  */
 inline constexpr std::uint64_t kMaxCampaignRuns = 4'000'000;
 
+/**
+ * The largest `--checkpoints` target CampaignConfig::validate()
+ * accepts.  The restore store keeps at most twice the target, so
+ * even with no memory budget (`--checkpoint-budget 0`) it holds at
+ * most 512 snapshots, wherever the golden run ends: an unpruned
+ * 4-run MARSS `sha` campaign at budget 0 peaks at 32 MiB RSS here,
+ * against 13 MiB at the default 64 and 112 MiB with no bound (one
+ * snapshot per 64 golden cycles).  At the default 256 MiB budget the
+ * store's cap is 123 whatever the target.
+ */
+inline constexpr std::uint32_t kMaxCheckpoints = 256;
+
 /** Full campaign parameters. */
 struct CampaignConfig
 {
@@ -153,8 +166,8 @@ struct CampaignConfig
     /**
      * Snapshots the checkpoint store faulty runs restore from
      * converges on (CLI `--checkpoints`): [N, 2N) evenly spaced over
-     * the golden run, fewer when the budget below binds.  See
-     * inject/checkpoint.hh.
+     * the golden run, fewer when the budget below binds.  At most
+     * kMaxCheckpoints.  See inject/checkpoint.hh.
      */
     std::uint32_t checkpointCount = 64;
 
@@ -172,9 +185,10 @@ struct CampaignConfig
     std::uint64_t seed = 0x5eed;
 
     /**
-     * Worker threads driving the faulty runs: 1 = serial (the
-     * default), 0 = hardware concurrency, N = that many threads.
-     * The campaign outcome is bit-identical for every value.
+     * Threads driving the faulty runs: 1 = serial (the default),
+     * 0 = hardware concurrency, N = that many threads, at most the
+     * hardware concurrency (the pool's width).  The campaign outcome
+     * is bit-identical for every value.
      */
     std::uint32_t jobs = 1;
 

@@ -10,7 +10,6 @@ void
 CampaignReporter::commit(std::size_t position, const RunTask &task,
                          const TaskResult &result)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     stats_.merge(result.record.stats);
     ++done_;
     if (progress_)

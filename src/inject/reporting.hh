@@ -2,24 +2,27 @@
  * @file
  * Campaign reporting layer (layer 3 of the execution engine).
  *
- * The task loop (inject/executor.hh) runs tasks on worker threads;
- * everything those workers report — user progress callbacks,
+ * The task loop (inject/executor.hh) runs tasks on pool threads, but
+ * hands every finished task to the campaign's own calling thread;
+ * everything reported from there — user progress callbacks,
  * aggregated common/stats counters, the telemetry stream — funnels
- * through a CampaignReporter, which serialises the calls behind one
- * mutex.  The user-visible sequence of progress callbacks (done,
- * total) is identical for every job count: `done` is the count of
- * finished tasks, which advances 1..total regardless of the order in
- * which the tasks actually finish.
+ * through a CampaignReporter.  So a progress callback that blocks
+ * (a served request writing to a stalled client) holds up only its
+ * own campaign, never a shared helper.  The user-visible sequence of
+ * progress callbacks (done, total) is identical for every job count:
+ * `done` is the count of finished tasks, which advances 1..total
+ * regardless of the order in which the tasks actually finish.
  *
- * The reporter is also the engine's *ordered-commit point*: workers
- * hand each finished task to commit() with its position in the plan's
- * task list, and the reporter reorders racing completions behind the
- * position frontier and replays them to the commit sink strictly in
- * plan order.  A shard or resume view executes a non-contiguous runId
- * subset, but its positions are always 0..n-1 in ascending runId
- * order.  Consumers attached there (inject/telemetry.hh) therefore
- * observe the exact same sequence for every job count — that is what
- * makes campaign artifacts byte-identical across `--jobs` values.
+ * The reporter is also the engine's *ordered-commit point*: the task
+ * loop hands each finished task to commit() with its position in the
+ * plan's task list, and the reporter reorders racing completions
+ * behind the position frontier and replays them to the commit sink
+ * strictly in plan order.  A shard or resume view executes a
+ * non-contiguous runId subset, but its positions are always 0..n-1
+ * in ascending runId order.  Consumers attached there
+ * (inject/telemetry.hh) therefore observe the exact same sequence for
+ * every job count — that is what makes campaign artifacts
+ * byte-identical across `--jobs` values.
  *
  * (Log lines from workers need no help from this layer: common/logging
  * emits each line atomically; see logging.cc.)
@@ -31,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 
 #include "common/stats.hh"
 
@@ -41,7 +43,10 @@ namespace dfi::inject
 struct RunTask;
 struct TaskResult;
 
-/** Thread-safe funnel for worker-side campaign reporting. */
+/**
+ * Funnel for campaign reporting.  Not thread-safe: every call comes
+ * from the campaign's calling thread (runTasks guarantees it).
+ */
 class CampaignReporter
 {
   public:
@@ -50,8 +55,8 @@ class CampaignReporter
 
     /**
      * Ordered-commit consumer: invoked once per task, strictly in
-     * plan (ascending-runId) order, under the reporter lock.  The
-     * references are only valid for the duration of the call.
+     * plan (ascending-runId) order.  The references are only valid
+     * for the duration of the call.
      */
     using CommitSink = std::function<void(const RunTask &task,
                                           const TaskResult &result)>;
@@ -77,9 +82,8 @@ class CampaignReporter
 
     /**
      * Campaign-wide counter aggregate.  Only read this after the task
-     * loop returned (all workers joined); counter addition is
-     * commutative, so the aggregate is identical for any completion
-     * order.
+     * loop returned; counter addition is commutative, so the
+     * aggregate is identical for any completion order.
      */
     const dfi::StatSet &aggregateStats() const { return stats_; }
 
@@ -96,8 +100,6 @@ class CampaignReporter
     std::map<std::size_t,
              std::pair<const RunTask *, const TaskResult *>>
         pending_;
-
-    std::mutex mutex_;
 };
 
 } // namespace dfi::inject

@@ -846,6 +846,9 @@ CampaignService::execute(const ServiceRequest &request,
     cfg.resumeFrom.clear();
     cfg.shard = ShardSpec{};
     cfg.telemetryCapture = true;
+    // Every served campaign spreads its runs over the whole pool; the
+    // request's `jobs` starts no thread (DESIGN.md section 11).
+    cfg.jobs = 0;
 
     const std::vector<ConfigError> errors = cfg.validate();
     if (!errors.empty()) {

@@ -34,10 +34,11 @@
  *    the fleet never simulates the same golden run twice
  *    concurrently;
  *  - queued execution admits in FIFO order onto a bounded pool of
- *    Options::workers execution slots (each campaign may still use
- *    `jobs` threads internally), with a per-client in-flight quota
- *    and a global admission capacity so one client cannot starve the
- *    fleet;
+ *    Options::workers execution slots, with a per-client in-flight
+ *    quota and a global admission capacity so one client cannot
+ *    starve the fleet; the runs of every executing campaign share the
+ *    process's task pool (inject/executor.hh) at its full width, and
+ *    a request's `jobs` starts no thread;
  *  - with Options::cacheDir set, prepared state spills to disk
  *    (common/serial.hh streams framed by an FNV-1a digest) and whole
  *    memoized responses persist as JSON, so a restarted daemon serves
@@ -117,7 +118,9 @@ struct ServiceRequest
  * keys, and type mismatches are errors (a service must not guess at
  * traffic it does not understand).  Config keys mirror the telemetry
  * config echo plus the execution knobs a remote client may set
- * (jobs, prune, checkpoint shape); telemetry paths, shard, and
+ * (prune, checkpoint shape, and `jobs`, which is accepted for old
+ * clients but ignored: execute() runs every campaign at the pool's
+ * full width); telemetry paths, shard, and
  * resume are deliberately not part of the protocol — artifacts
  * travel back in the response and land wherever the *client* says.
  */
@@ -199,9 +202,9 @@ class CampaignService
         std::uint32_t queueCapacity = 64;
 
         /**
-         * Campaigns executing simultaneously through executeQueued
-         * (each may still use `jobs` threads internally).  0 is
-         * treated as 1.
+         * Campaigns executing simultaneously through executeQueued.
+         * Their runs share the process's task pool, so this admits
+         * campaigns and starts no run thread.  0 is treated as 1.
          */
         std::uint32_t workers = 1;
 
@@ -277,8 +280,9 @@ class CampaignService
 
     /**
      * Execute one campaign request synchronously on the calling
-     * thread (no queue, no quota).  Never throws: engine fatal()s
-     * come back as !ok responses.
+     * thread (no queue, no quota), its runs spread over the whole
+     * task pool whatever the request's `jobs` says.  Never throws:
+     * engine fatal()s come back as !ok responses.
      */
     ServiceResponse execute(const ServiceRequest &request,
                             const Progress &progress = {});
@@ -288,8 +292,7 @@ class CampaignService
      * the global capacity — both rejected immediately with a
      * retryable !ok response, not blocked), wait for a worker slot
      * in FIFO order, then execute.  Up to Options::workers campaigns
-     * run simultaneously; each may still use `jobs` worker threads
-     * internally.
+     * run simultaneously; their runs share the process's task pool.
      */
     ServiceResponse executeQueued(const ServiceRequest &request,
                                   const Progress &progress = {});

@@ -690,6 +690,27 @@ TEST(CampaignConfigValidate, RunCountsAreBounded)
     }
 }
 
+/**
+ * The checkpoint target is bounded, so not even a zero budget lets a
+ * request keep one snapshot per 64 golden cycles; the CI legs' 1 and
+ * 6 and the default 64 stay legal.
+ */
+TEST(CampaignConfigValidate, CheckpointCountIsBounded)
+{
+    CampaignConfig cfg = microConfig("marss-x86", "int_regfile");
+    cfg.checkpointMemBudgetMB = 0;
+    for (const std::uint32_t legal : {1u, 6u, 64u, kMaxCheckpoints}) {
+        cfg.checkpointCount = legal;
+        EXPECT_TRUE(cfg.validate().empty()) << legal;
+    }
+    for (const std::uint32_t refused : {kMaxCheckpoints + 1, 100'000u}) {
+        cfg.checkpointCount = refused;
+        const std::vector<ConfigError> errors = cfg.validate();
+        ASSERT_EQ(errors.size(), 1u) << refused;
+        EXPECT_EQ(errors[0].field, "checkpoints");
+    }
+}
+
 TEST(CampaignConfigValidate, CampaignRefusesInvalidConfig)
 {
     CampaignConfig cfg = microConfig("marss-x86", "int_regfile");

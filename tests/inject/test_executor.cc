@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the layered campaign execution engine: the planning
- * layer's task grouping, the task loop's runId-ordered result
- * commitment, and the end-to-end determinism contract — a campaign's
+ * layer's task grouping, the shared task pool (nesting, blocked and
+ * failing batches, its width), the task loop's runId-ordered result
+ * commitment on the calling thread, and the end-to-end determinism
+ * contract — a campaign's
  * records, masks, counts, and aggregate statistics are byte-identical
  * for one job and for four on every simulator setup, and reproducible
  * across re-runs with the same seed.
@@ -10,7 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <latch>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -215,6 +222,172 @@ TEST(Executor, ThreadPoolPropagatesTaskErrors)
                       std::string::npos)
                 << error.what();
         }
+    }
+}
+
+TEST(Executor, NestedBatchesFinishAtWidthTwo)
+{
+    // Every item of a batch as wide as the pool submits a batch of
+    // width 2.  Each submitter works on its own batch, so none waits
+    // for a helper that the busy pool cannot give.
+    const std::size_t width = poolWidth();
+    std::atomic<std::size_t> ran{0};
+    runBatch(2 * width, static_cast<std::uint32_t>(width),
+             [&ran](std::size_t) {
+                 runBatch(3, 2, [&ran](std::size_t) {
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(1));
+                     ++ran;
+                 });
+             });
+    EXPECT_EQ(ran.load(), 6 * width);
+}
+
+TEST(Executor, ABlockedBatchDoesNotStopAnotherBatch)
+{
+    // One item per pool thread, each parked on a latch: the second
+    // batch still finishes, on its caller alone.
+    const std::size_t width = poolWidth();
+    std::latch release(1);
+    std::atomic<std::size_t> parked{0};
+    std::thread blocked([&] {
+        runBatch(width, width, [&](std::size_t) {
+            ++parked;
+            release.wait();
+        });
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (parked.load() < width &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::size_t parked_first = parked.load();
+
+    std::vector<std::size_t> squares(8);
+    runBatch(squares.size(), width,
+             [&squares](std::size_t i) { squares[i] = i * i; });
+    release.count_down();
+    blocked.join();
+
+    EXPECT_EQ(parked_first, width);
+    for (std::size_t i = 0; i < squares.size(); ++i)
+        EXPECT_EQ(squares[i], i * i);
+}
+
+TEST(Executor, AnErrorLeavesAConcurrentBatchIntact)
+{
+    constexpr std::size_t kItems = 16;
+    std::string failed;
+    std::thread failing([&failed] {
+        try {
+            runBatch(kItems, poolWidth(), [](std::size_t i) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+                if (i == 5 || i == 9)
+                    fatal("item %s failed", i);
+            });
+        } catch (const FatalError &error) {
+            failed = error.what();
+        }
+    });
+    std::vector<std::size_t> values(kItems);
+    std::vector<std::size_t> finished;
+    runBatch(
+        kItems, poolWidth(),
+        [&values](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
+            values[i] = 100 + i;
+        },
+        [&finished](std::size_t i) { finished.push_back(i); });
+    failing.join();
+
+    EXPECT_NE(failed.find("item 5 failed"), std::string::npos)
+        << failed;
+    ASSERT_EQ(finished.size(), kItems);
+    std::sort(finished.begin(), finished.end());
+    for (std::size_t i = 0; i < kItems; ++i) {
+        EXPECT_EQ(values[i], 100 + i);
+        EXPECT_EQ(finished[i], i);
+    }
+}
+
+TEST(Executor, ReporterCallsRunOnTheCallingThread)
+{
+    constexpr std::uint64_t kTasks = 16;
+    const CampaignPlan plan = syntheticPlan(kTasks);
+    const std::thread::id caller = std::this_thread::get_id();
+    const TaskRunner runner = [](const RunTask &task) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(100 * (kTasks - task.runId)));
+        return TaskResult{};
+    };
+    std::uint64_t progressed = 0;
+    std::uint64_t committed = 0;
+    CampaignReporter reporter(
+        [&](std::uint64_t, std::uint64_t) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            ++progressed;
+        },
+        kTasks);
+    reporter.setCommitSink([&](const RunTask &, const TaskResult &) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++committed;
+    });
+    runTasks(plan, 4, runner, reporter);
+    EXPECT_EQ(progressed, kTasks);
+    EXPECT_EQ(committed, kTasks);
+}
+
+TEST(Executor, JobsAboveThePoolWidthUseAtMostTheHardwareThreads)
+{
+    // Eight tasks: even a loop that started one thread per job would
+    // start only eight.
+    const CampaignPlan plan = syntheticPlan(8);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    const TaskRunner runner = [&](const RunTask &) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::lock_guard<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
+        return TaskResult{};
+    };
+    CampaignReporter reporter({}, plan.numRuns());
+    EXPECT_EQ(runTasks(plan, 64, runner, reporter).size(), 8u);
+    const unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_LE(threads.size(), std::max(1u, hw));
+    EXPECT_LE(threads.size(), poolWidth());
+}
+
+/**
+ * Campaigns run as the items of one batch, each fanning its runs out
+ * over the same pool, produce the artifacts of their serial runs.
+ */
+TEST(Executor, CampaignsInOneBatchMatchTheirSerialRuns)
+{
+    const std::vector<std::string> cores = {"marss-x86", "gem5-x86",
+                                            "gem5-arm"};
+    auto run = [&cores](std::size_t i, std::uint32_t jobs) {
+        CampaignConfig cfg = microConfig(cores[i], jobs);
+        cfg.telemetryCapture = true;
+        return InjectionCampaign(cfg).run();
+    };
+    std::vector<CampaignResult> batched(cores.size());
+    runBatch(cores.size(), 4, [&](std::size_t i) {
+        batched[i] = run(i, 4);
+    });
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+        const CampaignResult serial = run(i, 1);
+        EXPECT_EQ(serializeRecords(batched[i].records),
+                  serializeRecords(serial.records))
+            << cores[i];
+        EXPECT_EQ(serializeMasks(batched[i].masks),
+                  serializeMasks(serial.masks))
+            << cores[i];
+        EXPECT_FALSE(serial.telemetryRuns.empty());
+        EXPECT_EQ(batched[i].telemetryRuns, serial.telemetryRuns)
+            << cores[i];
+        EXPECT_EQ(batched[i].telemetrySummary, serial.telemetrySummary)
+            << cores[i];
     }
 }
 

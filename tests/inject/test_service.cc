@@ -1154,6 +1154,24 @@ TEST(Service, ExecuteRefusesARunCountPastTheCapBeforePreparing)
     EXPECT_EQ(service.cacheStats().entries, 0u);
 }
 
+/** So is a checkpoint target past its bound, even at budget 0. */
+TEST(Service, ExecuteRefusesACheckpointCountPastTheCapBeforePreparing)
+{
+    CampaignService service({});
+    ServiceRequest request;
+    request.config = smokeConfig();
+    request.config.checkpointCount = 100'000;
+    request.config.checkpointMemBudgetMB = 0;
+    const ServiceResponse response = service.execute(request);
+    EXPECT_FALSE(response.ok);
+    EXPECT_FALSE(response.retryable);
+    EXPECT_NE(response.error.find("config: checkpoints"),
+              std::string::npos)
+        << response.error;
+    EXPECT_EQ(service.cacheStats().misses, 0u);
+    EXPECT_EQ(service.cacheStats().entries, 0u);
+}
+
 TEST(Service, QueuedRequestsAllCompleteAcrossThreads)
 {
     CampaignService service({});

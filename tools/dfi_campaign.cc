@@ -22,6 +22,7 @@
  *                --telemetry-out run
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -216,9 +217,10 @@ try {
         if (cfg.shard.count > 1)
             std::fprintf(stderr, "executing shard %u/%u\n",
                          cfg.shard.index, cfg.shard.count);
+        const std::uint32_t threads =
+            std::min(resolveJobs(cfg.jobs), poolWidth());
         std::fprintf(stderr, "executing on %u worker thread%s\n",
-                     resolveJobs(cfg.jobs),
-                     resolveJobs(cfg.jobs) == 1 ? "" : "s");
+                     threads, threads == 1 ? "" : "s");
 
         InjectionCampaign::Progress progress;
         if (verbose) {

@@ -7,7 +7,8 @@
  * (program, core, config) are simulated once and reused from a
  * content-addressed warm cache (inject/service.hh).  Requests admit
  * FIFO with per-client quotas onto `--workers` concurrent execution
- * slots; `--cache-dir` persists prepared state and memoized responses
+ * slots, whose faulty runs share one task pool as wide as the
+ * hardware threads; `--cache-dir` persists prepared state and memoized responses
  * across restarts; SIGTERM/SIGINT drain gracefully (finish admitted
  * requests, refuse new ones, then exit).
  *
@@ -103,7 +104,9 @@ try {
                  "(default 64)",
                  &options.queueCapacity);
     flags.uint32("--workers", "N",
-                 "campaigns executing simultaneously\n(default 1)",
+                 "campaigns executing simultaneously\n"
+                 "(default 1); their runs share one\n"
+                 "pool as wide as the hardware threads",
                  &options.workers);
     flags.text("--cache-dir", "DIR",
                "persist prepared state and memoized\n"
